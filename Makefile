@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha ci bench microbench bench-short bench-check bench-ab
+.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha fuzz-smoke ci bench microbench bench-short bench-check bench-ab
 
 build:
 	$(GO) build ./...
@@ -39,9 +39,11 @@ net-smoke:
 # primary killed with no restart so its hot standby must be promoted —
 # both must match the serial oracle with exactly-once accumulation, plus
 # the durability/failover unit layer (journal replay property, dedup
-# eviction bounds, graceful shutdown, membership lookup).
+# eviction bounds, graceful shutdown, membership lookup) and the
+# internal/durable log and atomic-write layer (crash-point enumeration,
+# pinned framing, fuzz seeds).
 net-failover:
-	$(GO) test -race -count=1 -run 'TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestJournal|TestSnapshotRoundTrip|TestKillRestartRecoversState|TestDedupEvictionAtCheckpointOnly|TestGracefulShutdownFlushesSnapshot|TestStandbyPromotionPreservesState|TestFailoverViaMembershipLookup|TestServerKill|TestRunServerKills' ./internal/net/ ./internal/fault/
+	$(GO) test -race -count=1 -run 'TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestJournal|TestSnapshotRoundTrip|TestKillRestartRecoversState|TestDedupEvictionAtCheckpointOnly|TestGracefulShutdownFlushesSnapshot|TestStandbyPromotionPreservesState|TestFailoverViaMembershipLookup|TestServerKill|TestRunServerKills|TestLog|TestWriteFile|FuzzLogReplay' ./internal/net/ ./internal/fault/ ./internal/durable/
 
 # Elastic-fleet gate under the race detector: the membership-churn chaos
 # build (shard join, graceful leave, and primary kill mid-build on a
@@ -79,12 +81,19 @@ serve-test:
 # 1e-9 and clients seeing at most one retriable error), plus the
 # fake-clock lease unit suite (acquire/renew/expiry, incarnation
 # fencing, double-adopt race with exactly one winner), registry WAL
-# recovery, readiness drain transitions, cross-peer owner redirects,
-# and the deterministic daemon-kill schedule.
+# recovery (including a hand-built WAL in the pinned on-disk format),
+# readiness drain transitions, cross-peer owner redirects, and the
+# deterministic daemon-kill schedule.
 serve-ha:
-	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestRegistryRecovery|TestDaemonKillPlanDeterministic|TestRunDaemonKillsExecutesSchedule' ./internal/serve/ ./internal/fault/
+	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestRegistryRecovery|TestRegistryOldFramingRecovers|TestDaemonKillPlanDeterministic|TestRunDaemonKillsExecutesSchedule' ./internal/serve/ ./internal/fault/
 
-ci: build vet generate-check race net-smoke net-failover net-elastic cache-test serve-test serve-ha
+# Ten-second fuzz of the durable log's replay over arbitrary file bytes:
+# no panic, no allocation past the record bound, cuts only at a frame
+# boundary.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz=FuzzLogReplay -fuzztime=10s ./internal/durable/
+
+ci: build vet generate-check race net-smoke net-failover net-elastic cache-test serve-test serve-ha fuzz-smoke
 
 # Go-testing microbenchmarks (one iteration each; a compile-and-run smoke).
 microbench:

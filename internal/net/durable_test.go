@@ -85,7 +85,7 @@ func TestKillRestartRecoversState(t *testing.T) {
 	grid := dist.UniformGrid2D(1, 1, 6, 6)
 	dir := t.TempDir()
 	mk := func() *Server {
-		return NewServer(grid, []int{0}, WithDurability(dir, 4), WithNoSync())
+		return NewServer(grid, []int{0}, WithDurability(dir, 4))
 	}
 	srv := mk()
 	addr, err := srv.Start("127.0.0.1:0")
@@ -214,7 +214,7 @@ func TestGracefulShutdownFlushesSnapshot(t *testing.T) {
 	grid := dist.UniformGrid2D(1, 1, 4, 4)
 	dir := t.TempDir()
 	mk := func() *Server {
-		return NewServer(grid, []int{0}, WithDurability(dir, -1), WithNoSync())
+		return NewServer(grid, []int{0}, WithDurability(dir, -1))
 	}
 	srv := mk()
 	addr, err := srv.Start("127.0.0.1:0")

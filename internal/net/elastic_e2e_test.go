@@ -51,7 +51,7 @@ func (fc *fleetCluster) start(grid *dist.Grid2D, nmembers, nspares int) {
 	fc.fleet = f
 	for k := 0; k < nmembers; k++ {
 		srv := netga.NewServer(grid, nil,
-			netga.WithDurability(fc.slotDir(fmt.Sprintf("m%d", k)), 64), netga.WithNoSync())
+			netga.WithDurability(fc.slotDir(fmt.Sprintf("m%d", k)), 64))
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
 			fc.t.Fatalf("start member %d: %v", k, err)
@@ -72,7 +72,7 @@ func (fc *fleetCluster) start(grid *dist.Grid2D, nmembers, nspares int) {
 	}
 	for k := 0; k < nspares; k++ {
 		srv := netga.NewServer(grid, nil,
-			netga.WithDurability(fc.slotDir(fmt.Sprintf("sp%d", k)), 64), netga.WithNoSync())
+			netga.WithDurability(fc.slotDir(fmt.Sprintf("sp%d", k)), 64))
 		if _, err := srv.Start("127.0.0.1:0"); err != nil {
 			fc.t.Fatalf("start spare %d: %v", k, err)
 		}

@@ -46,7 +46,7 @@ func (cc *chaosCluster) start(grid *dist.Grid2D, nservers int, withStandbys bool
 	var stdbyAddrs []string
 	for k := 0; k < nservers; k++ {
 		srv := netga.NewServer(grid, hosted[k],
-			netga.WithDurability(cc.slotDir(k), 64), netga.WithNoSync())
+			netga.WithDurability(cc.slotDir(k), 64))
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
 			cc.t.Fatalf("start server %d: %v", k, err)
@@ -108,7 +108,7 @@ func (cc *chaosCluster) kill(k int) {
 
 func (cc *chaosCluster) restart(k int) {
 	srv := netga.NewServer(cc.grid, cc.hosted[k],
-		netga.WithDurability(cc.slotDir(k), 64), netga.WithNoSync())
+		netga.WithDurability(cc.slotDir(k), 64))
 	var err error
 	for i := 0; i < 400; i++ {
 		if _, err = srv.Start(cc.addrs[k]); err == nil {

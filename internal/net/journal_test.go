@@ -1,11 +1,14 @@
 package netga
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gtfock/internal/dist"
@@ -57,7 +60,7 @@ func testRequests(seed int64, n int) []*request {
 func driveServer(t *testing.T, dir string, reqs []*request) *Server {
 	t.Helper()
 	grid := dist.UniformGrid2D(1, 1, 4, 4)
-	s := NewServer(grid, []int{0}, WithDurability(dir, -1), WithNoSync())
+	s := NewServer(grid, []int{0}, WithDurability(dir, -1))
 	if err := s.recover(); err != nil {
 		t.Fatalf("recover %s: %v", dir, err)
 	}
@@ -103,7 +106,7 @@ func TestJournalPrefixSuffixProperty(t *testing.T) {
 
 	fullDir := t.TempDir()
 	full := driveServer(t, fullDir, reqs)
-	defer full.jr.close()
+	defer full.jr.Close()
 	want := stateOf(full)
 
 	for k := 0; k <= len(reqs); k += 3 {
@@ -119,11 +122,11 @@ func TestJournalPrefixSuffixProperty(t *testing.T) {
 			a.snapshotLocked()
 			a.mu.Unlock()
 		}
-		a.jr.close() // crash: nothing flushed beyond what append synced
+		a.jr.Close() // crash: nothing flushed beyond what append synced
 
 		b := driveServer(t, dir, reqs[k:])
 		got := stateOf(b)
-		b.jr.close()
+		b.jr.Close()
 		if got.Session != want.Session || got.Seq != want.Seq || got.CkptGen != want.CkptGen {
 			t.Fatalf("prefix %d: state (session=%d seq=%d gen=%d), want (%d %d %d)",
 				k, got.Session, got.Seq, got.CkptGen, want.Session, want.Seq, want.CkptGen)
@@ -140,31 +143,28 @@ func TestJournalPrefixSuffixProperty(t *testing.T) {
 	}
 }
 
+// replayedRecords recovers a fresh durable server from dir and reports how
+// many journal records it replayed.
+func replayedRecords(t *testing.T, dir string) int {
+	t.Helper()
+	s := NewServer(dist.UniformGrid2D(1, 1, 4, 4), []int{0}, WithDurability(dir, -1))
+	if err := s.recover(); err != nil {
+		t.Fatalf("recover %s: %v", dir, err)
+	}
+	s.jr.Close()
+	return int(s.replayed.Load())
+}
+
 // A torn tail — a partial record from a crash mid-append, or a corrupted
 // one — terminates replay at the last intact record instead of erroring.
 func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
-	jr, err := openJournal(dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reqs := testRequests(3, 6)
-	for i, r := range reqs {
-		if err := jr.append(uint64(i+1), r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jr.close()
-
-	count := func() int {
-		n, _, err := replayJournal(dir, func(seq uint64, req *request) error { return nil })
-		if err != nil {
-			t.Fatalf("replay: %v", err)
-		}
-		return n
-	}
-	if got := count(); got != len(reqs) {
-		t.Fatalf("intact journal replayed %d records, want %d", got, len(reqs))
+	driveServer(t, dir, reqs).jr.Close()
+	// The session install snapshots, so every record after it replays.
+	n0 := len(reqs) - 1
+	if got := replayedRecords(t, dir); got != n0 {
+		t.Fatalf("intact journal replayed %d records, want %d", got, n0)
 	}
 
 	// Tear off the last few bytes: the final record is lost, the rest
@@ -177,8 +177,8 @@ func TestJournalTornTail(t *testing.T) {
 	if err := os.WriteFile(path, blob[:len(blob)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := count(); got != len(reqs)-1 {
-		t.Fatalf("torn journal replayed %d records, want %d", got, len(reqs)-1)
+	if got := replayedRecords(t, dir); got != n0-1 {
+		t.Fatalf("torn journal replayed %d records, want %d", got, n0-1)
 	}
 
 	// Corrupt a byte inside the final (intact) record: crc catches it and
@@ -188,8 +188,8 @@ func TestJournalTornTail(t *testing.T) {
 	if err := os.WriteFile(path, blob2, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := count(); got != len(reqs)-1 {
-		t.Fatalf("corrupt-tail journal replayed %d records, want %d", got, len(reqs)-1)
+	if got := replayedRecords(t, dir); got != n0-1 {
+		t.Fatalf("corrupt-tail journal replayed %d records, want %d", got, n0-1)
 	}
 }
 
@@ -199,16 +199,8 @@ func TestJournalTornTail(t *testing.T) {
 // restart.
 func TestJournalTornTailTruncatedOnRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s := driveServer(t, dir, testRequests(11, 8))
-	s.jr.close()
-	count := func() int {
-		n, _, err := replayJournal(dir, func(uint64, *request) error { return nil })
-		if err != nil {
-			t.Fatalf("replay: %v", err)
-		}
-		return n
-	}
-	n0 := count()
+	driveServer(t, dir, testRequests(11, 8)).jr.Close()
+	n0 := replayedRecords(t, dir)
 	path := filepath.Join(dir, journalFile)
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -223,8 +215,8 @@ func TestJournalTornTailTruncatedOnRecovery(t *testing.T) {
 		Op: opAcc, Array: 0, Session: 42, Token: 900001, Alpha: 1,
 		R0: 0, R1: 1, C0: 0, C1: 1, Data: []float64{1},
 	}})
-	b.jr.close()
-	if got, want := count(), n0; got != want {
+	b.jr.Close()
+	if got, want := replayedRecords(t, dir), n0; got != want {
 		t.Fatalf("replay after torn-tail recovery + 1 append sees %d records, want %d", got, want)
 	}
 }
@@ -234,30 +226,75 @@ func TestJournalTornTailTruncatedOnRecovery(t *testing.T) {
 // while the server acks them as durable.
 func TestJournalAppendFailureMarksDamage(t *testing.T) {
 	dir := t.TempDir()
-	jr, err := openJournal(dir, true)
+	reqs := testRequests(13, 4)
+	s := driveServer(t, dir, reqs)
+	s.jr.Close() // the disk goes away mid-run
+	acc := func(token uint64) response {
+		return s.handle(&request{
+			Op: opAcc, Array: 0, Session: 42, Token: token, Alpha: 1,
+			R0: 0, R1: 1, C0: 0, C1: 1, Data: []float64{1},
+		})
+	}
+	if resp := acc(900001); resp.Status == statusOK {
+		t.Fatal("append on a dead file acknowledged")
+	}
+	if resp := acc(900002); resp.Status == statusOK || !strings.Contains(resp.Msg, "damaged") {
+		t.Fatalf("append past known damage: status %d %q, want a damaged-journal rejection", resp.Status, resp.Msg)
+	}
+	// Everything appended before the failure still replays.
+	if got, want := replayedRecords(t, dir), len(reqs)-1; got != want {
+		t.Fatalf("replay after damage: %d records, want %d intact records", got, want)
+	}
+}
+
+// TestJournalOldFramingRecovers pins the on-disk journal format: a
+// journal.wal assembled by hand in the [len][crc32][seq][request]
+// framing, ending in a torn record, recovers to exactly the state its
+// intact records describe, and recovery cuts the file back to them.
+func TestJournalOldFramingRecovers(t *testing.T) {
+	dir := t.TempDir()
+	var wal []byte
+	frame := func(seq uint64, req *request) {
+		rec := binary.LittleEndian.AppendUint64(nil, seq)
+		rec = append(rec, encodeRequest(nil, req)...)
+		wal = binary.LittleEndian.AppendUint32(wal, uint32(len(rec)))
+		wal = binary.LittleEndian.AppendUint32(wal, crc32.ChecksumIEEE(rec))
+		wal = append(wal, rec...)
+	}
+	frame(1, &request{Op: opHello, Session: 42, R0: 4, C0: 4})
+	frame(2, &request{Op: opPut, Array: 0, Session: 42, R0: 0, R1: 2, C0: 0, C1: 2, Data: []float64{1, 2, 3, 4}})
+	frame(3, &request{Op: opAcc, Array: 0, Session: 42, Token: 7, Alpha: 2, R0: 1, R1: 2, C0: 1, C1: 2, Data: []float64{10}})
+	frame(4, &request{Op: opAcc, Array: 0, Session: 42, Token: 7, Alpha: 2, R0: 1, R1: 2, C0: 1, C1: 2, Data: []float64{10}})
+	intact := len(wal)
+	frame(5, &request{Op: opAcc, Array: 0, Session: 42, Token: 8, Alpha: 1, R0: 0, R1: 1, C0: 0, C1: 1, Data: []float64{100}})
+	wal = wal[:len(wal)-3] // crash mid-append
+	path := filepath.Join(dir, journalFile)
+	if err := os.WriteFile(path, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewServer(dist.UniformGrid2D(1, 1, 4, 4), []int{0}, WithDurability(dir, -1))
+	if err := s.recover(); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer s.jr.Close()
+	if s.session != 42 || s.seq != 4 || s.replayed.Load() != 4 {
+		t.Fatalf("recovered session %d seq %d replayed %d, want 42 4 4", s.session, s.seq, s.replayed.Load())
+	}
+	want := make([]float64, 16)
+	want[0], want[1], want[4], want[5] = 1, 2, 3, 4+2*10 // the duplicate token 7 applies once
+	if !reflect.DeepEqual(s.arrays[0], want) {
+		t.Fatalf("recovered array %v, want %v", s.arrays[0], want)
+	}
+	if !reflect.DeepEqual(s.seenCur, map[uint64]bool{7: true}) {
+		t.Fatalf("recovered dedup set %v, want {7}", s.seenCur)
+	}
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := testRequests(13, 3)
-	for i, r := range reqs {
-		if err := jr.append(uint64(i+1), r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jr.f.Close() // the disk goes away mid-run
-	if err := jr.append(uint64(len(reqs)+1), reqs[0]); err == nil {
-		t.Fatal("append on a dead file reported success")
-	}
-	if !jr.failed {
-		t.Fatal("journal not marked failed after an unrollbackable append error")
-	}
-	if err := jr.append(uint64(len(reqs)+2), reqs[0]); err == nil {
-		t.Fatal("append past known damage accepted")
-	}
-	// Everything appended before the failure still replays.
-	n, _, err := replayJournal(dir, func(uint64, *request) error { return nil })
-	if err != nil || n != len(reqs) {
-		t.Fatalf("replay after damage: n=%d err=%v, want %d intact records", n, err, len(reqs))
+	if fi.Size() != int64(intact) {
+		t.Fatalf("journal is %d bytes, want it cut back to its intact %d", fi.Size(), intact)
 	}
 }
 
@@ -273,7 +310,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	st.Arrays[0] = []float64{1, 2, 3, 4}
 	st.Arrays[1] = []float64{5, 6, 7, 8}
-	if err := saveSnapshot(dir, st, true); err != nil {
+	if err := saveSnapshot(dir, st); err != nil {
 		t.Fatal(err)
 	}
 	back, err := loadSnapshot(dir)

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gtfock/internal/dist"
+	"gtfock/internal/durable"
 )
 
 // Server hosts the D and F shards of a subset of the process grid's
@@ -72,8 +74,8 @@ type Server struct {
 	// Durability state (jr == nil: volatile server).
 	dir           string
 	snapshotEvery int
-	nosync        bool
-	jr            *journal
+	jr            *durable.Log
+	jbuf          []byte // reusable journal record encode buffer (under mu)
 	seq           uint64 // last assigned record sequence number (under mu)
 	sinceSnap     int    // journaled records since the last snapshot (under mu)
 	applyWG       sync.WaitGroup
@@ -123,13 +125,6 @@ func WithDurability(dir string, snapshotEvery int) ServerOption {
 		}
 		s.snapshotEvery = snapshotEvery
 	}
-}
-
-// WithNoSync skips fsync on journal appends and snapshots. Only for
-// tests: it trades crash-durability on a real power loss for speed, while
-// keeping the in-process kill/restart semantics exact.
-func WithNoSync() ServerOption {
-	return func(s *Server) { s.nosync = true }
 }
 
 // WithStandby starts the server as a hot standby replicating from the
@@ -224,7 +219,7 @@ func (s *Server) Start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		if s.jr != nil {
-			s.jr.close()
+			s.jr.Close()
 			s.jr = nil
 		}
 		return "", err
@@ -301,23 +296,32 @@ func (s *Server) recover() error {
 		}
 	}
 	base := s.seq
-	_, good, err := replayJournal(s.dir, func(seq uint64, req *request) error {
-		if seq <= base {
-			return nil // covered by the snapshot
+	s.jr, err = durable.Open(filepath.Join(s.dir, journalFile), maxFrame, func(rec []byte) error {
+		var req request
+		seq, err := decodeRecord(rec, &req)
+		if err != nil {
+			return err // undecodable yet checksummed: treat as torn
 		}
-		s.applyRecord(req)
-		s.seq = seq
-		s.replayed.Add(1)
+		if seq > base { // records up to base are covered by the snapshot
+			s.applyRecord(&req)
+			s.seq = seq
+			s.replayed.Add(1)
+		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	if err := truncateJournal(s.dir, good); err != nil {
-		return err
-	}
-	s.jr, err = openJournal(s.dir, s.nosync)
 	return err
+}
+
+// journalLocked appends one record to the write-ahead journal; it is
+// durable when journalLocked returns nil. Caller holds s.mu.
+func (s *Server) journalLocked(seq uint64, req *request) error {
+	s.jbuf = encodeRecord(s.jbuf, seq, req)
+	if err := s.jr.Append(s.jbuf); err != nil {
+		return err
+	}
+	s.journalRecords.Add(1)
+	s.sinceSnap++
+	return nil
 }
 
 func tokenSet(tokens []uint64) map[uint64]bool {
@@ -474,12 +478,10 @@ func (s *Server) persistLocked(req *request, replicate bool) error {
 	}
 	s.seq++
 	if s.jr != nil {
-		if err := s.jr.append(s.seq, req); err != nil {
+		if err := s.journalLocked(s.seq, req); err != nil {
 			s.seq--
 			return fmt.Errorf("netga: journal append: %w", err)
 		}
-		s.journalRecords.Add(1)
-		s.sinceSnap++
 	}
 	if replicate && s.sub != nil {
 		if err := s.sub.forward(s.seq, req); err != nil {
@@ -513,13 +515,13 @@ func (s *Server) snapshotLocked() {
 	}
 	s.applyWG.Wait()
 	st := s.snapshotStateLocked()
-	if err := saveSnapshot(s.dir, st, s.nosync); err != nil {
+	if err := saveSnapshot(s.dir, st); err != nil {
 		return // keep journaling; the next threshold retries
 	}
 	// A failed reset is tolerable here (unlike installState): every record
 	// left behind has seq <= snapshot.Seq and replay skips it; the journal
-	// marks itself failed if it cannot be truncated safely.
-	s.jr.reset()
+	// marks itself damaged if it cannot be truncated safely.
+	s.jr.Reset()
 	s.sinceSnap = 0
 	s.snapshots.Add(1)
 }
@@ -581,7 +583,7 @@ func (s *Server) Close() {
 	s.wg.Wait()
 	s.mu.Lock()
 	if s.jr != nil {
-		s.jr.close()
+		s.jr.Close()
 		s.jr = nil
 	}
 	s.mu.Unlock()
@@ -965,7 +967,7 @@ func (s *Server) hello(req *request) response {
 			// The old session's history is dead; the install record is the
 			// first entry of the fresh journal (seq keeps increasing so a
 			// stale snapshot plus the new journal still replays correctly).
-			if err := s.jr.reset(); err != nil {
+			if err := s.jr.Reset(); err != nil {
 				return errResp(req.ReqID, "netga: journal reset: %v", err)
 			}
 			s.sinceSnap = 0

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"gtfock/internal/chem"
@@ -394,6 +395,74 @@ func TestLoadCheckpointFallbackBothCorrupt(t *testing.T) {
 	}
 	if errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("double corruption must not masquerade as a cold start: %v", err)
+	}
+}
+
+// Concurrent Saves to one path — a stalled HA owner whose lease expired
+// and the peer that adopted its job — must never land a mix of two
+// writers' bytes: each save writes its own temp file, so every load,
+// during the race and after it, sees exactly one writer's F and D.
+func TestConcurrentSavesLandOneWriter(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job.ckpt")
+	const writers, rounds, n = 6, 15, 24
+	// oneWriter reports whether ck is writer w's checkpoint for some w:
+	// F filled with w+1 and D with -(w+1).
+	oneWriter := func(ck *Checkpoint) bool {
+		w := ck.FData[0]
+		for i := range ck.FData {
+			if ck.FData[i] != w || ck.DData[i] != -w {
+				return false
+			}
+		}
+		return w >= 1 && w <= writers
+	}
+	var wg sync.WaitGroup
+	for w := 1; w <= writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ck := Checkpoint{
+				Version: checkpointVersion, Formula: "CH4", BasisName: "sto-3g", NumFuncs: n,
+				FData: make([]float64, n*n), DData: make([]float64, n*n),
+			}
+			for i := range ck.FData {
+				ck.FData[i], ck.DData[i] = float64(w), -float64(w)
+			}
+			for it := 1; it <= rounds; it++ {
+				ck.Iter = it
+				if err := ck.Save(path); err != nil {
+					t.Errorf("writer %d save %d: %v", w, it, err)
+					return
+				}
+				got, err := LoadCheckpointFallback(path)
+				if err != nil {
+					t.Errorf("writer %d load after save %d: %v", w, it, err)
+					return
+				}
+				if !oneWriter(got) {
+					t.Errorf("writer %d load after save %d: mixed checkpoint F[0]=%g D[0]=%g", w, it, got.FData[0], got.DData[0])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, p := range []string{path, path + PrevSuffix} {
+		ck, err := LoadCheckpoint(p)
+		if err != nil {
+			t.Fatalf("load %s after the race: %v", p, err)
+		}
+		if !oneWriter(ck) {
+			t.Fatalf("%s holds a mixed checkpoint after the race", p)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("racing saves left residue: %d entries in %s", len(entries), dir)
 	}
 }
 

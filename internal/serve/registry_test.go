@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -9,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gtfock/internal/durable"
 )
 
 // regClock is the deterministic time source the lease suite drives,
@@ -238,7 +242,7 @@ func TestReleaseMakesImmediatelyAdoptable(t *testing.T) {
 func TestRegistryRecovery(t *testing.T) {
 	dir := t.TempDir()
 	clk := newRegClock()
-	cfg := RegistryConfig{LeaseTTL: ttl, Clock: clk.Now, NoSync: true, SnapshotEvery: 3}
+	cfg := RegistryConfig{LeaseTTL: ttl, Clock: clk.Now, SnapshotEvery: 3}
 
 	r, err := OpenRegistry(dir, cfg)
 	if err != nil {
@@ -298,7 +302,7 @@ func TestRegistryRecovery(t *testing.T) {
 // stops at the tear) silently drops them.
 func TestRecoveryTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
-	cfg := RegistryConfig{LeaseTTL: ttl, NoSync: true}
+	cfg := RegistryConfig{LeaseTTL: ttl}
 
 	r, err := OpenRegistry(dir, cfg)
 	if err != nil {
@@ -340,19 +344,70 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// TestRegistryOldFramingRecovers pins the on-disk registry format: a
+// registry.wal assembled by hand from [len][crc32][JSON walRec] frames,
+// ending in a torn record, recovers to exactly the jobs its intact
+// records describe, and recovery cuts the file back to them.
+func TestRegistryOldFramingRecovers(t *testing.T) {
+	dir := t.TempDir()
+	var wal []byte
+	for _, body := range []string{
+		`{"rec":{"id":"j-000001","spec":{"molecule":"H2"},"ckpt":"/ckpt/j-000001.ckpt","state":"active","owner":"p1","owner_addr":"p1:80","owner_inc":1,"fence":1},"next_id":1}`,
+		`{"rec":{"id":"j-000002","spec":{"molecule":"CH4"},"state":"active","owner":"p1","owner_addr":"p1:80","owner_inc":1,"fence":1},"next_id":2}`,
+		`{"rec":{"id":"j-000002","spec":{"molecule":"CH4"},"state":"done","fence":1,"result":{"converged":true,"energy":-40.5}},"next_id":2}`,
+		`{"rec":{"id":"j-000001","spec":{"molecule":"H2"},"ckpt":"/ckpt/j-000001.ckpt","state":"active","owner":"p2","owner_addr":"p2:80","owner_inc":4,"fence":2,"adoptions":1},"next_id":2}`,
+		`{"rec":{"id":"j-000003","spec":{"molecule":"H2"},"state":"active","owner":"p2","fence":1},"next_id":3}`,
+	} {
+		wal = binary.LittleEndian.AppendUint32(wal, uint32(len(body)))
+		wal = binary.LittleEndian.AppendUint32(wal, crc32.ChecksumIEEE([]byte(body)))
+		wal = append(wal, body...)
+	}
+	intact := len(wal) - 8 - len(`{"rec":{"id":"j-000003","spec":{"molecule":"H2"},"state":"active","owner":"p2","fence":1},"next_id":3}`)
+	wal = wal[:len(wal)-5] // crash mid-append of the j-000003 create
+	if err := os.WriteFile(filepath.Join(dir, regWALFile), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenRegistry(dir, RegistryConfig{LeaseTTL: ttl})
+	if err != nil {
+		t.Fatalf("OpenRegistry: %v", err)
+	}
+	defer r.Close()
+	if fi, err := os.Stat(filepath.Join(dir, regWALFile)); err != nil || fi.Size() != int64(intact) {
+		t.Fatalf("journal not cut back to its intact %d bytes: %v", intact, err)
+	}
+	got := r.List()
+	if len(got) != 2 {
+		t.Fatalf("recovered %d jobs, want 2: %+v", len(got), got)
+	}
+	j1, j2 := got[0], got[1]
+	if j1.ID != "j-000001" || j1.State != RecActive || j1.Owner != "p2" || j1.OwnerInc != 4 ||
+		j1.Fence != 2 || j1.Adoptions != 1 || j1.Ckpt != "/ckpt/j-000001.ckpt" || j1.Spec.Molecule != "H2" {
+		t.Fatalf("j-000001 recovered as %+v", j1)
+	}
+	if j2.ID != "j-000002" || j2.State != RecDone || j2.Owner != "" || j2.Result == nil ||
+		!j2.Result.Converged || j2.Result.Energy != -40.5 {
+		t.Fatalf("j-000002 recovered as %+v", j2)
+	}
+	if id, _ := mustCreate(t, r, "p3", 1); id != "j-000003" {
+		t.Fatalf("first id after recovery = %s, want j-000003", id)
+	}
+}
+
 // TestRegistryHTTPNonLeaseErrorIs500: a WAL/disk failure inside a fenced
 // endpoint must surface as a 500 carrying its cause, not as
 // 200 {ok:false, reason:""} — a client cannot be left unable to tell a
 // disk failure from a lease race.
 func TestRegistryHTTPNonLeaseErrorIs500(t *testing.T) {
-	r, err := OpenRegistry(t.TempDir(), RegistryConfig{LeaseTTL: ttl, NoSync: true})
+	dir := t.TempDir()
+	r, err := OpenRegistry(dir, RegistryConfig{LeaseTTL: ttl})
 	if err != nil {
 		t.Fatalf("OpenRegistry: %v", err)
 	}
 	defer r.Close()
 	id, fence := mustCreate(t, r, "p1", 1)
 	r.mu.Lock()
-	r.failed = true // simulate a journal damaged by an earlier failed append
+	r.wal.Close() // the disk goes away: the next append fails and cannot roll back
 	r.mu.Unlock()
 
 	srv := httptest.NewServer((&RegistryAPI{Reg: r}).Handler())
@@ -373,8 +428,11 @@ func TestRegistryHTTPNonLeaseErrorIs500(t *testing.T) {
 	}
 
 	r.mu.Lock()
-	r.failed = false
+	r.wal, err = durable.Open(filepath.Join(dir, regWALFile), maxRegRecord, func([]byte) error { return nil })
 	r.mu.Unlock()
+	if err != nil {
+		t.Fatalf("reopen journal: %v", err)
+	}
 	if err := c.Finish(id, "p1", 1, fence, RecDone, nil, ""); err != nil {
 		t.Fatalf("Finish after repair: %v", err)
 	}
