@@ -166,8 +166,8 @@ func benchTInt(b *testing.B, primTol float64) {
 }
 
 // BenchmarkTable5TIntKernels measures the per-ERI time of the batched
-// specialized-kernel path (DESIGN.md §8) on an s/p-only sto-3g alkane,
-// where every quartet dispatches to a fast kernel — the kernel-layer
+// generated-kernel path (DESIGN.md §8) on an s/p-only sto-3g alkane,
+// where every quartet dispatches to a generated kernel — the kernel-layer
 // companion to the two Table V rows above. Steady state must not
 // allocate.
 func BenchmarkTable5TIntKernels(b *testing.B) {

@@ -11,7 +11,7 @@
 //	bench                          # full series -> BENCH_fock.json
 //	bench -short -check BENCH_fock.json   # CI smoke: pinned case vs baseline
 //	bench -ab 5                    # interleaved observability-overhead A/B
-//	bench -kernel-delta FILE       # d-kernel before/after report -> FILE
+//	bench -kernel-delta FILE       # generated-kernel before/after report -> FILE
 //
 // Series entries are either bare alkane chain lengths ("2,4,6", using
 // -basis) or mol:basis specs ("ch4:cc-pvdz"), so the series can mix the
@@ -60,8 +60,8 @@ type benchCase struct {
 	CallsPerProc  float64 `json:"calls_per_proc"`
 
 	// ERI dispatch split of one metered build (outside the timed reps):
-	// quartets served by the hand s/p kernels, by the generated d-class
-	// kernels, and by the general MD fallback. GeneralFrac is the leak
+	// all-s/p and d-bearing quartets served by the generated kernels, and
+	// quartets that took the general MD fallback. GeneralFrac is the leak
 	// rate to the general path — 0 for every built-in basis up to d.
 	QuartetsFastSP  int64   `json:"quartets_fast_sp"`
 	QuartetsFastGen int64   `json:"quartets_fast_gen"`
@@ -116,7 +116,7 @@ func main() {
 		tol    = flag.Float64("tol", 0.15, "allowed fractional regression of norm_wall in -check mode")
 		mtol   = flag.Float64("mtol", 0.35, "allowed fractional regression of calibrated micro ns/quartet in -check mode")
 		ab     = flag.Int("ab", 0, "run N interleaved A/B pairs measuring observability overhead, then exit")
-		delta  = flag.String("kernel-delta", "", "write a before/after d-kernel report (markdown) to this file, then exit")
+		delta  = flag.String("kernel-delta", "", "write a before/after generated-kernel report (markdown) to this file, then exit")
 	)
 	flag.Parse()
 
@@ -333,28 +333,64 @@ func microOne(bs *basis.Set, name string, general bool, ba, bb, ka, kb int) micr
 	}
 }
 
-// microD builds the d-class micro cases on ethane in cc-pVDZ (each
-// carbon carries the uncontracted d shell, so d pairs span two centers):
-// one case per generated-kernel shape in the cc-pVDZ hot path plus the
-// general-path twin on the identical quartet.
-func microD() []microCase {
-	dbs, err := basis.Build(chem.Alkane(2), "cc-pvdz")
+// microShape names one pinned quartet (bra shells ba, bb; ket shells
+// ka, kb) of a kernel class.
+type microShape struct {
+	name           string
+	ba, bb, ka, kb int
+}
+
+// ethaneShapes pins quartets on ethane in cc-pVDZ, whose shells of each
+// of L = 0, 1, 2 sit on distinct centers (each carbon carries the
+// uncontracted d shell, so d pairs span two centers): sp covers every
+// canonical all-s/p class, d one shape per generated-kernel layout in
+// the cc-pVDZ hot path.
+func ethaneShapes() (bs *basis.Set, sp, d []microShape) {
+	bs, err := basis.Build(chem.Alkane(2), "cc-pvdz")
 	fatalIf(err)
-	d1, d2 := shellsOfL(dbs, "cc-pvdz", 2)
-	p1, _ := shellsOfL(dbs, "cc-pvdz", 1)
-	s1, s2 := shellsOfL(dbs, "cc-pvdz", 0)
-	return []microCase{
-		microOne(dbs, "ds_ss", false, d1, s1, s1, s2),
-		microOne(dbs, "pd_ps", false, p1, d1, p1, s1),
-		microOne(dbs, "dd_dd", false, d1, d2, d1, d2),
-		microOne(dbs, "ds_ss_general", true, d1, s1, s1, s2),
-		microOne(dbs, "pd_ps_general", true, p1, d1, p1, s1),
-		microOne(dbs, "dd_dd_general", true, d1, d2, d1, d2),
+	s1, s2 := shellsOfL(bs, "cc-pvdz", 0)
+	p1, p2 := shellsOfL(bs, "cc-pvdz", 1)
+	d1, d2 := shellsOfL(bs, "cc-pvdz", 2)
+	sp = []microShape{
+		{"ss_ss", s1, s2, s1, s2},
+		{"ps_ss", p1, s1, s1, s2},
+		{"ps_ps", p1, s1, p2, s2},
+		{"pp_ss", p1, p2, s1, s2},
+		{"pp_ps", p1, p2, p1, s1},
+		{"pp_pp", p1, p2, p1, p2},
 	}
+	d = []microShape{
+		{"ds_ss", d1, s1, s1, s2},
+		{"pd_ps", p1, d1, p1, s1},
+		{"dd_dd", d1, d2, d1, d2},
+	}
+	return bs, sp, d
+}
+
+// microShapes times each shape's kernel, then its general-path twin on
+// the identical quartet.
+func microShapes(bs *basis.Set, shapes []microShape) []microCase {
+	var out []microCase
+	for _, general := range []bool{false, true} {
+		for _, sh := range shapes {
+			name := sh.name
+			if general {
+				name += "_general"
+			}
+			out = append(out, microOne(bs, name, general, sh.ba, sh.bb, sh.ka, sh.kb))
+		}
+	}
+	return out
+}
+
+// microD builds the d-class micro cases on ethane in cc-pVDZ.
+func microD() []microCase {
+	bs, _, d := ethaneShapes()
+	return microShapes(bs, d)
 }
 
 // runMicro benchmarks the ERI kernel layer: ns/quartet for every
-// specialized s/p kernel class on the pinned alkane:2 system (with the
+// s/p kernel class on the pinned alkane:2 system (with the
 // general MD path on ss|ss and pp|pp for reference), the generated
 // d-class kernels on ethane/cc-pVDZ with their general twins, and the
 // batched ERIBatch path over the fattest real task's surviving quartet
@@ -442,31 +478,33 @@ func runMicro(bname string) []microCase {
 }
 
 // runKernelDelta writes the before/after evidence for the generated
-// d-class kernels: per-quartet kernel-vs-general times on identical d
-// quartets, and the serial-oracle wall on methane/cc-pVDZ with the
-// specialized layer off ("before": every quartet on the general MD path)
-// and on ("after"). Both halves run back-to-back in one process, so the
-// comparison needs no cross-machine calibration.
+// kernels: per-quartet kernel-vs-general times on identical quartets of
+// every all-s/p class and the d micro shapes, and the serial-oracle wall
+// on methane/cc-pVDZ with the kernel layer off ("before": every quartet
+// on the general MD path) and on ("after"). Both halves run back-to-back
+// in one process, so the comparison needs no cross-machine calibration.
 func runKernelDelta(out string, reps int) {
-	micro := microD()
+	bs, sp, ds := ethaneShapes()
+	shapes := append(sp, ds...)
+	micro := microShapes(bs, shapes)
 	byName := map[string]microCase{}
 	for _, m := range micro {
 		byName[m.Name] = m
 	}
 
-	bs, scr, d := setupMol(chem.Methane(), "cc-pvdz")
+	mbs, scr, d := setupMol(chem.Methane(), "cc-pvdz")
 	var offNS, onNS int64
 	for r := 0; r < reps; r++ {
 		t0 := time.Now()
-		core.BuildSerial(bs, scr, d, core.Options{DisableFastKernels: true})
+		core.BuildSerial(mbs, scr, d, core.Options{DisableFastKernels: true})
 		offNS = minNZ(offNS, time.Since(t0).Nanoseconds())
 		t0 = time.Now()
-		core.BuildSerial(bs, scr, d)
+		core.BuildSerial(mbs, scr, d)
 		onNS = minNZ(onNS, time.Since(t0).Nanoseconds())
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "# Generated d-kernel before/after (`cmd/bench -kernel-delta`, same machine, one process)\n\n")
+	fmt.Fprintf(&b, "# Generated kernel before/after (`cmd/bench -kernel-delta`, same machine, one process)\n\n")
 	fmt.Fprintf(&b, "Evidence for the DESIGN.md §8 generated kernels (`cmd/kernelgen` →\n")
 	fmt.Fprintf(&b, "`internal/integrals/kernels_gen.go`): the \"before\" column forces every\n")
 	fmt.Fprintf(&b, "quartet onto the general MD path (`DisableFastKernels`), the \"after\"\n")
@@ -474,16 +512,16 @@ func runKernelDelta(out string, reps int) {
 	fmt.Fprintf(&b, "## Per-quartet kernel classes (ethane, cc-pVDZ shells)\n\n")
 	fmt.Fprintf(&b, "| class | general ns/quartet | kernel ns/quartet | speedup | allocs/op |\n")
 	fmt.Fprintf(&b, "|-------|-------------------:|------------------:|--------:|----------:|\n")
-	for _, name := range []string{"ds_ss", "pd_ps", "dd_dd"} {
-		k, g := byName[name], byName[name+"_general"]
+	for _, sh := range shapes {
+		k, g := byName[sh.name], byName[sh.name+"_general"]
 		fmt.Fprintf(&b, "| %s | %.0f | %.0f | **%.1f×** | %d |\n",
-			name, g.NsPerQuartet, k.NsPerQuartet, g.NsPerQuartet/k.NsPerQuartet, k.AllocsPerOp)
+			sh.name, g.NsPerQuartet, k.NsPerQuartet, g.NsPerQuartet/k.NsPerQuartet, k.AllocsPerOp)
 	}
 	fmt.Fprintf(&b, "\n## Serial Fock build, methane cc-pVDZ (best of %d)\n\n", reps)
 	fmt.Fprintf(&b, "| path | wall | reduction |\n")
 	fmt.Fprintf(&b, "|------|-----:|----------:|\n")
 	fmt.Fprintf(&b, "| general MD only (before) | %.1f ms | — |\n", float64(offNS)/1e6)
-	fmt.Fprintf(&b, "| specialized kernels (after) | %.1f ms | **%.1f×** |\n",
+	fmt.Fprintf(&b, "| generated kernels (after) | %.1f ms | **%.1f×** |\n",
 		float64(onNS)/1e6, float64(offNS)/float64(onNS))
 	fmt.Fprintf(&b, "\nThe dispatch coverage gate (`TestCCPVDZDispatchCoverage`,\n")
 	fmt.Fprintf(&b, "`TestObservedBuildReportsDispatchSplit`) asserts 0%% of cc-pVDZ quartets\n")

@@ -1,5 +1,7 @@
-// Command kernelgen generates the specialized d-class ERI kernels of
-// internal/integrals/kernels_gen.go.
+// Command kernelgen generates the ERI kernels of
+// internal/integrals/kernels_gen.go: one straight-line kernel per
+// canonical quartet class with L <= 2 on every shell, and the unrolled
+// Hermite recursions they call.
 //
 // It walks the McMurchie-Davidson Hermite expansion at generation time:
 // for each quartet class (a bra pair class x a ket pair class, both up
@@ -10,17 +12,20 @@
 //
 //  1. builds the folded term coefficients once per primitive pair
 //     (genTermsXX builders; the ket side folds the (-1)^(t+u+v) phase),
-//  2. contracts ket terms against R at every bra-reachable Hermite index
+//  2. fills the R cube with genHermiteRn, the R^m_{tuv} recursion of
+//     total order n unrolled with every m > 0 level in locals, so only
+//     the m = 0 plane is stored,
+//  3. contracts ket terms against R at every bra-reachable Hermite index
 //     into the g[braHermite][ketComp] intermediate (phase 1), and
-//  3. contracts bra terms against g with a fused per-row axpy loop the
-//     compiler can vectorize (phase 2),
+//  4. contracts bra terms against g with a fused per-row axpy loop the
+//     compiler can vectorize (phase 2).
 //
-// mirroring the two-phase shape of the hand-written eriLowL but with all
-// offsets and loop bounds constant-folded. Only canonical classes with
-// braClass >= ketClass (and a d on at least one side) are emitted —
-// 22 kernels; the 18 mirrored combinations are served by eriCartAuto
-// calling the swapped kernel and transposing (bra-ket symmetry plus the
-// R(-PQ) parity identity make the swapped output exactly the transpose).
+// An ss ket skips the g intermediate (its single term is R_000), and
+// (ss|ss) is one boysF0 call per primitive quartet. Only canonical
+// classes with braClass >= ketClass are emitted — 28 kernels; the 21
+// mirrored combinations are served by eriCartAuto calling the swapped
+// kernel and transposing (bra-ket symmetry plus the R(-PQ) parity
+// identity make the swapped output exactly the transpose).
 //
 // The generator re-derives the small amount of integrals-package layout
 // it depends on (Cartesian component order, E-table flat indexing, the
@@ -59,25 +64,32 @@ func cartComponents(l int) []cart {
 
 func numCart(l int) int { return (l + 1) * (l + 2) / 2 }
 
+// maxOrder is the largest total angular momentum of a quartet, (dd|dd);
+// maxSide is that of one side, dd.
+const (
+	maxOrder = 8
+	maxSide  = 4
+)
+
 // rStride is the fixed per-dimension stride of the shared Hermite R
 // cube: bra t + ket tau reaches at most 4+4 = 8 per dimension for
 // (dd|dd), so 9 indices per dimension cover every class.
-const rStride = 9
+const rStride = maxOrder + 1
 
 var dim9 = [3]int{rStride * rStride, rStride, 1}
 
 // hermList enumerates the Hermite indices (t,u,v) order-major (total
-// order 0..4; within an order t descending, then u descending), so the
-// first hermPrefix[L] entries are exactly the indices a side of total
-// angular momentum L reaches.
+// order 0..8; within an order t descending, then u descending), so the
+// first hermPrefix[L] entries are exactly the indices of total order
+// <= L.
 var (
 	hermList   []cart
-	hermPrefix [5]int
+	hermPrefix [maxOrder + 1]int
 	hermIndex  = map[cart]int{}
 )
 
 func init() {
-	for ord := 0; ord <= 4; ord++ {
+	for ord := 0; ord <= maxOrder; ord++ {
 		for t := ord; t >= 0; t-- {
 			for u := ord - t; u >= 0; u-- {
 				c := cart{t, u, ord - t - u}
@@ -123,7 +135,10 @@ type term struct {
 	odd     bool
 }
 
-func (t term) roff() int { return t.herm.x*dim9[0] + t.herm.y*dim9[1] + t.herm.z*dim9[2] }
+func (t term) roff() int { return t.herm.roff() }
+
+// roff is the flat offset of Hermite index c in the stride-9 R cube.
+func (c cart) roff() int { return c.x*dim9[0] + c.y*dim9[1] + c.z*dim9[2] }
 
 // classTerms is a class plus its full folded term structure: pairs[c]
 // lists the terms of component pair c, slots is the total term count
@@ -185,34 +200,91 @@ func buildTerms(c class) *classTerms {
 func emitHeader(w *bytes.Buffer) {
 	fmt.Fprint(w, `// Code generated by gtfock/cmd/kernelgen; DO NOT EDIT.
 //
-// Specialized ERI kernels for every quartet class with a d-bearing side
-// (sd/pd/dd bra/ket combinations), produced by constant-folding the
-// McMurchie-Davidson Hermite expansion per component pair. See
-// cmd/kernelgen and DESIGN.md section 8 for the scheme; regenerate with
+// Specialized ERI kernels for every canonical quartet class with L <= 2
+// on each shell, produced by constant-folding the McMurchie-Davidson
+// Hermite expansion per component pair, and the unrolled Hermite
+// recursions they call. See cmd/kernelgen and DESIGN.md section 8 for
+// the scheme; regenerate with
 //
 //	go generate ./internal/integrals
 
 package integrals
 
-import "math"
+import (
+	"math"
+
+	"gtfock/internal/chem"
+)
 
 `)
 	var offs []string
-	for _, c := range hermList {
-		offs = append(offs, fmt.Sprint(c.x*dim9[0]+c.y*dim9[1]+c.z*dim9[2]))
+	for _, c := range hermList[:hermPrefix[maxSide]] {
+		offs = append(offs, fmt.Sprint(c.roff()))
 	}
 	fmt.Fprintf(w, `// genHermOff9 lists the flat offsets of the Hermite indices (t,u,v) in
 // the stride-9 R cube, order-major (order 0..4; within an order t then u
-// descending), so the first genHermCount[L] entries are exactly the
-// indices a bra of total angular momentum L reaches.
+// descending), so a bra of total angular momentum L reaches exactly the
+// first (L+1)(L+2)(L+3)/6 entries.
 var genHermOff9 = [%d]int16{%s}
 
-// genHermCount[L] is the number of Hermite indices (t,u,v) with
-// t+u+v <= L.
-var genHermCount = [5]int{%d, %d, %d, %d, %d}
+`, hermPrefix[maxSide], strings.Join(offs, ", "))
+}
 
-`, len(hermList), strings.Join(offs, ", "),
-		hermPrefix[0], hermPrefix[1], hermPrefix[2], hermPrefix[3], hermPrefix[4])
+// emitHermite writes genHermiteRn: the Hermite Coulomb integrals
+// R^0_{tuv} for t+u+v <= n by the recursion
+//
+//	R^m_{t+1,u,v} = t R^{m+1}_{t-1,u,v} + X R^{m+1}_{t,u,v}
+//
+// (and likewise in u and v), seeded by R^m_000 = (-2 alpha)^m F_m. Levels
+// run m = n down to 0; each m > 0 value is a local read only by level
+// m-1, and level 0 stores straight into the stride-9 cube.
+func emitHermite(w *bytes.Buffer, n int) {
+	name := func(m int, h [3]int) string { return fmt.Sprintf("r%d_%d%d%d", m, h[0], h[1], h[2]) }
+	fmt.Fprintf(w, "// genHermiteR%d stores R^0_{tuv}(alpha, PQ) for t+u+v <= %d into the\n", n, n)
+	fmt.Fprintf(w, "// stride-9 cube r from the Boys values f[0..%d]. Entries of higher order\n", n)
+	fmt.Fprint(w, "// are left stale and must not be read.\n")
+	fmt.Fprintf(w, "func genHermiteR%d(alpha float64, pq chem.Vec3, f *[maxBoysM + 1]float64, r *[729]float64) {\n", n)
+	fmt.Fprint(w, "x, y, z := pq.X, pq.Y, pq.Z\n")
+	fmt.Fprint(w, "a1 := -2 * alpha\n")
+	for m := 2; m <= n; m++ {
+		fmt.Fprintf(w, "a%d := a%d * a1\n", m, m-1)
+	}
+	for m := n; m >= 0; m-- {
+		for _, c := range hermList[:hermPrefix[n-m]] {
+			h := [3]int{c.x, c.y, c.z}
+			var expr string
+			switch {
+			case m == 0 && c == cart{}:
+				expr = "f[0]"
+			case c == cart{}:
+				expr = fmt.Sprintf("a%d * f[%d]", m, m)
+			default:
+				// Lower the first nonzero index, as the general
+				// hermiteRTable does.
+				d := 0
+				for h[d] == 0 {
+					d++
+				}
+				k := h[d]
+				h[d]--
+				expr = fmt.Sprintf("%s*%s", []string{"x", "y", "z"}[d], name(m+1, h))
+				if k > 1 {
+					h[d]--
+					if k == 2 {
+						expr += " + " + name(m+1, h)
+					} else {
+						expr += fmt.Sprintf(" + %d*%s", k-1, name(m+1, h))
+					}
+				}
+			}
+			if m == 0 {
+				fmt.Fprintf(w, "r[%d] = %s\n", c.roff(), expr)
+			} else {
+				fmt.Fprintf(w, "%s := %s\n", name(m, [3]int{c.x, c.y, c.z}), expr)
+			}
+		}
+	}
+	fmt.Fprint(w, "}\n\n")
 }
 
 func emitBuilder(w *bytes.Buffer, ct *classTerms) {
@@ -253,6 +325,28 @@ func emitKernel(w *bytes.Buffer, b, k *classTerms) {
 	fmt.Fprintf(w, "// %s computes a contracted Cartesian (%s|%s)-class quartet,\n", name, b.name, k.name)
 	fmt.Fprintf(w, "// row-major over bra then ket component pairs (%d x %d).\n", nb, nk)
 	fmt.Fprintf(w, "func %s(e *Engine, bra, ket *ShellPair) []float64 {\n", name)
+	if ltot == 0 {
+		// (ss|ss): R_000 = F_0 is the whole expansion.
+		fmt.Fprint(w, `cart := e.ensure(&e.cart, 1)
+var v float64
+for bi := range bra.prims {
+bp := &bra.prims[bi]
+for ki := range ket.prims {
+kp := &ket.prims[ki]
+e.Stats.PrimQuartets++
+p, q := bp.p, kp.p
+alpha := p * q / (p + q)
+pq := bp.P.Sub(kp.P)
+v += twoPiPow52 / (p * q * math.Sqrt(p+q)) * bp.cc * kp.cc * bp.k3 * kp.k3 * boysF0(alpha*pq.Norm2())
+}
+}
+cart[0] = v
+return cart
+}
+
+`)
+		return
+	}
 	fmt.Fprintf(w, "cart := e.ensure(&e.cart, %d)\n", nb*nk)
 	fmt.Fprint(w, "for i := range cart {\ncart[i] = 0\n}\n")
 	if ketSS {
@@ -274,12 +368,12 @@ func emitKernel(w *bytes.Buffer, b, k *classTerms) {
 	fmt.Fprint(w, "alpha := p * q / (p + q)\n")
 	fmt.Fprint(w, "pq := bp.P.Sub(kp.P)\n")
 	fmt.Fprintf(w, "Boys(%d, alpha*pq.Norm2(), e.boys[:%d])\n", ltot, ltot+1)
-	fmt.Fprintf(w, "hermiteR9(%d, alpha, pq, e.boys[:], &e.kraux9)\n", ltot)
+	fmt.Fprintf(w, "genHermiteR%d(alpha, pq, &e.boys, &e.genR)\n", ltot)
 	fmt.Fprint(w, "pref := twoPiPow52 / (p * q * math.Sqrt(p+q)) * bp.cc * kp.cc * bp.k3 * kp.k3\n")
 	if ketSS {
 		// The ss ket contributes the single term E^{000} = 1 at R offset
 		// 0: contract bra terms against R directly, no g intermediate.
-		fmt.Fprint(w, "r := &e.kraux9\n")
+		fmt.Fprint(w, "r := &e.genR\n")
 		for ab, terms := range b.pairs {
 			var parts []string
 			for _, tm := range terms {
@@ -301,7 +395,7 @@ func emitKernel(w *bytes.Buffer, b, k *classTerms) {
 		// index. rr's constant re-slice length lets the compiler drop
 		// the bounds checks on the constant offsets below.
 		fmt.Fprintf(w, "for h := 0; h < %d; h++ {\n", nbh)
-		fmt.Fprintf(w, "rr := e.kraux9[int(genHermOff9[h]):][:%d]\n", maxOff+1)
+		fmt.Fprintf(w, "rr := e.genR[int(genHermOff9[h]):][:%d]\n", maxOff+1)
 		fmt.Fprint(w, "gr := &e.genG[h]\n")
 		for kc, pair := range k.pairs {
 			var parts []string
@@ -332,10 +426,9 @@ func emitKernel(w *bytes.Buffer, b, k *classTerms) {
 
 func emitTable(w *bytes.Buffer, kernels [][2]int) {
 	fmt.Fprint(w, `// genKernels maps (bra class, ket class) — indexed by the Class*
-// constants — to the generated kernel. nil entries are covered
-// elsewhere: all-s/p classes by the hand kernels in kernels.go, and
-// non-canonical (bra < ket) d-bearing classes by the mirror transpose
-// in eriCartAuto.
+// constants — to the generated kernel. nil entries are the
+// non-canonical (bra < ket) classes, which eriCartAuto serves by the
+// mirror transpose.
 var genKernels = [NumPairClasses][NumPairClasses]func(*Engine, *ShellPair, *ShellPair) []float64{
 `)
 	row := -1
@@ -368,11 +461,14 @@ func main() {
 
 	var w bytes.Buffer
 	emitHeader(&w)
-	for _, ct := range cts[1:] {
+	for n := 1; n <= maxOrder; n++ {
+		emitHermite(&w, n)
+	}
+	for _, ct := range cts[1:] { // an ss side needs no term builder
 		emitBuilder(&w, ct)
 	}
 	var kernels [][2]int
-	for b := 3; b < len(classes); b++ { // ds and up: every d-bearing canonical class
+	for b := range classes { // every canonical class: bra >= ket
 		for k := 0; k <= b; k++ {
 			kernels = append(kernels, [2]int{b, k})
 			emitKernel(&w, cts[b], cts[k])

@@ -19,10 +19,9 @@ import (
 type Options struct {
 	Prow, Pcol int     // process grid (defaults 1x1)
 	PrimTol    float64 // primitive prescreening threshold for the ERI engine
-	UseHGP     bool    // Head-Gordon-Pople ERI algorithm instead of McMurchie-Davidson
 	// DisableFastKernels forces every quartet through the general MD
-	// recursion instead of the specialized s/p and generated d-class
-	// kernels — the A/B knob behind the kernel-delta benchmarks.
+	// recursion instead of the generated kernels — the A/B knob behind
+	// the kernel-delta benchmarks.
 	DisableFastKernels bool
 
 	// Ctx, when non-nil, cancels the build: workers observe the
@@ -472,7 +471,6 @@ func newWorker(rank int, bs *basis.Set, scr *screen.Screening, pt *integrals.Pai
 	grid *dist.Grid2D, gaD, gaF dist.Backend, stats *dist.RunStats, opt Options) *worker {
 	eng := integrals.NewEngine()
 	eng.PrimTol = opt.PrimTol
-	eng.UseHGP = opt.UseHGP
 	eng.DisableFastKernels = opt.DisableFastKernels
 	w := &worker{
 		rank: rank, bs: bs, scr: scr, grid: grid,

@@ -17,9 +17,9 @@ import (
 // code so that results agree to the screening tolerance.
 //
 // The optional opts (at most one is honored) carries the ERI engine
-// knobs — PrimTol, UseHGP, DisableFastKernels — so A/B measurements
+// knobs — PrimTol and DisableFastKernels — so A/B measurements
 // (e.g. the kernel-delta benchmarks) can run the oracle with and
-// without the specialized kernel layer.
+// without the generated kernel layer.
 func BuildSerial(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opts ...Options) *linalg.Matrix {
 	n := bs.NumFuncs
 	ns := bs.NumShells()
@@ -27,7 +27,6 @@ func BuildSerial(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opts ..
 	eng := integrals.NewEngine()
 	if len(opts) > 0 {
 		eng.PrimTol = opts[0].PrimTol
-		eng.UseHGP = opts[0].UseHGP
 		eng.DisableFastKernels = opts[0].DisableFastKernels
 	}
 	pt := scr.PairTable(0)

@@ -39,7 +39,18 @@ const (
 
 var boysTab [boysGridN * boysRowLen]float64
 
+// boysInvFact[k] = 1/k! weighs the k-th Taylor term, and
+// boysInvOdd[m] = 1/(2m-1) the downward recursion step from F_m, so
+// neither inner loop divides.
+var (
+	boysInvFact = [boysTerms]float64{1, 1, 1.0 / 2, 1.0 / 6, 1.0 / 24, 1.0 / 120, 1.0 / 720, 1.0 / 5040}
+	boysInvOdd  [maxBoysM + 1]float64
+)
+
 func init() {
+	for m := 1; m <= maxBoysM; m++ {
+		boysInvOdd[m] = 1 / float64(2*m-1)
+	}
 	for i := 0; i < boysGridN; i++ {
 		x := float64(i) * boysDX
 		row := boysTab[i*boysRowLen : (i+1)*boysRowLen]
@@ -76,18 +87,19 @@ func Boys(mmax int, x float64, out []float64) []float64 {
 	// Shared Taylor factors (-d)^k / k! evaluate both F_mmax(x) (offset
 	// rows of the table are exactly the derivatives: F_m' = -F_{m+1}) and
 	// exp(-x) = exp(-x_i) exp(-d) without calling math.Exp.
-	dk := 1.0
+	dp := 1.0
 	f := row[mmax]
 	ex := 1.0
 	for k := 1; k < boysTerms; k++ {
-		dk *= -d / float64(k)
+		dp *= -d
+		dk := dp * boysInvFact[k]
 		f += row[mmax+k] * dk
 		ex += dk
 	}
 	ex *= row[boysRowLen-1]
 	out[mmax] = f
 	for m := mmax; m > 0; m-- {
-		out[m-1] = (2*x*out[m] + ex) / float64(2*m-1)
+		out[m-1] = (2*x*out[m] + ex) * boysInvOdd[m]
 	}
 	return out[:mmax+1]
 }
@@ -101,11 +113,11 @@ func boysF0(x float64) float64 {
 	i := int(x*boysInvDX + 0.5)
 	d := x - float64(i)*boysDX
 	row := boysTab[i*boysRowLen:]
-	dk := 1.0
+	dp := 1.0
 	f := row[0]
 	for k := 1; k < boysTerms; k++ {
-		dk *= -d / float64(k)
-		f += row[k] * dk
+		dp *= -d
+		f += row[k] * dp * boysInvFact[k]
 	}
 	return f
 }

@@ -57,14 +57,17 @@ func FuzzBoys(f *testing.F) {
 }
 
 // FuzzERIKernelClasses drives arbitrary geometries and exponents through
-// every specialized-kernel class key (hand s/p and generated d, L
-// clamped to 0..2 per shell, so mirror keys are reachable too) and
-// cross-checks the dispatched result against the general MD path.
+// every generated-kernel class key (L clamped to 0..2 per shell, so the
+// s/p, d and mirror keys are all reachable) and cross-checks the
+// dispatched result against the general MD path.
 func FuzzERIKernelClasses(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), 1.0, 0.5, 0.3, 2.0, 0.5, -0.4, 1.0)
 	f.Add(uint8(2), uint8(2), uint8(2), uint8(2), 0.8, 1.5, 0.9, 0.2, -1.1, 0.7, 0.0)
 	f.Add(uint8(1), uint8(2), uint8(2), uint8(1), 11.0, 0.1, 3.3, 0.6, 0.0, 0.0, 0.0)
 	f.Add(uint8(0), uint8(2), uint8(1), uint8(1), 2.5, 2.5, 2.5, 2.5, 0.3, 0.3, 0.3)
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), 0.4, 3.0, 1.2, 0.7, 0.9, -0.5, 0.2)
+	f.Add(uint8(0), uint8(1), uint8(1), uint8(0), 1.7, 0.3, 0.6, 5.0, -0.8, 0.1, 1.4)
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(1), 0.9, 0.9, 0.2, 2.2, 0.0, 1.3, -0.6)
 	f.Fuzz(func(t *testing.T, la, lb, lc, ld uint8, e1, e2, e3, e4, gx, gy, gz float64) {
 		for _, v := range []float64{e1, e2, e3, e4, gx, gy, gz} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

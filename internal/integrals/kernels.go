@@ -1,38 +1,20 @@
 package integrals
 
-// Specialized ERI kernels for the dominant low angular-momentum classes.
-// For s/p-only quartets — essentially all of the work in an sto-3g build,
-// and the bulk of it in any organic molecule — the general MD recursion in
-// eriCart spends most of its time on branchy zero-checked loops over E and
-// R tables that have a handful of nonzero entries with known positions.
-// The kernels here unroll those positions:
+// Kernel dispatch. Every quartet with L <= 2 on each shell is served by a
+// generated kernel in kernels_gen.go (see cmd/kernelgen): straight-line
+// code with the McMurchie-Davidson Hermite expansion constant-folded per
+// component pair, one kernel per canonical class (bra pair class >= ket
+// pair class). This file holds the pair-class tables and eriCartAuto,
+// which routes a quartet to its kernel, or to the general MD recursion
+// in md.go for f shells and DisableFastKernels.
 //
-//   - (ss|ss), one-p|ss and pp|ss quartets use closed forms of the Hermite
-//     Coulomb integrals (R_000 = F_0, R_e = -2a PQ_e F_1, ...), so a
-//     primitive quartet is a few fused multiply-adds after the Boys call.
-//   - The remaining s/p classes, including (pp|pp), precompute per
-//     primitive pair the sparse Hermite expansion terms (coefficient +
-//     fixed-stride R offset) of every component pair and contract them in
-//     two phases through a small g intermediate, mirroring eriCart's
-//     structure without its inner branching.
-//
-// d-bearing classes are handled by the generated kernels in
-// kernels_gen.go (see cmd/kernelgen), which extend the same two-phase
-// scheme with every offset constant-folded at generation time.
-//
-// Mirror classes reuse the same cores: because R_{tuv}(-PQ) =
-// (-1)^{t+u+v} R_{tuv}(PQ), an (ss|X) quartet equals the (X|ss) kernel
-// evaluated with PQ taken from the X side, with the identical flat output
-// layout — and more generally a (Y|X) quartet is the transpose of the
-// (X|Y) kernel called with the sides swapped. Dispatch lives in
-// eriCartAuto; every kernel is cross-checked against the general MD path
-// and the Obara-Saika oracle in kernels_test and kernels_gen_test.
+// Mirror classes reuse the canonical kernels: because R_{tuv}(-PQ) =
+// (-1)^{t+u+v} R_{tuv}(PQ), a (Y|X) quartet is the transpose of the
+// (X|Y) kernel called with the sides swapped. Every kernel is
+// cross-checked against the general MD path and the Obara-Saika oracle
+// in kernels_gen_test.
 
-import (
-	"math"
-
-	"gtfock/internal/chem"
-)
+//go:generate go run gtfock/cmd/kernelgen -out kernels_gen.go
 
 // Shell-pair classes for kernel dispatch and per-class statistics: the
 // seven distinct L<=2 pair layouts. sp and sd pairs are served by the
@@ -47,7 +29,7 @@ const (
 	ClassPD
 	ClassDP
 	ClassDD
-	// NumPairClasses counts the specialized pair classes above.
+	// NumPairClasses counts the kernel pair classes above.
 	NumPairClasses
 )
 
@@ -82,10 +64,8 @@ func pairClass(sp *ShellPair) int {
 	return int(pairClassTab[sp.LA*3+sp.LB])
 }
 
-// eriCartAuto dispatches a quartet to a specialized kernel when one
-// applies — the hand-written s/p kernels below or the generated
-// d-class kernels in kernels_gen.go — falling back to the general MD
-// path for anything beyond d.
+// eriCartAuto dispatches a quartet to its generated kernel, falling back
+// to the general MD path for anything beyond d.
 func (e *Engine) eriCartAuto(bra, ket *ShellPair) []float64 {
 	bc, kc := pairClass(bra), pairClass(ket)
 	e.Stats.ByClass[bc][kc]++
@@ -96,30 +76,17 @@ func (e *Engine) eriCartAuto(bra, ket *ShellPair) []float64 {
 	e.Stats.FastQuartets++
 	if bc <= ClassPP && kc <= ClassPP {
 		e.Stats.FastSP++
-		switch (bra.LA+bra.LB)<<2 | (ket.LA + ket.LB) {
-		case 0:
-			return e.eriSSSS(bra, ket)
-		case 1 << 2:
-			return e.eriP100(bra, ket)
-		case 1:
-			return e.eriP100(ket, bra)
-		case 2 << 2:
-			return e.eriPP00(bra, ket)
-		case 2:
-			return e.eriPP00(ket, bra)
-		default:
-			return e.eriLowL(bra, ket)
-		}
+	} else {
+		e.Stats.FastGen++
 	}
-	e.Stats.FastGen++
 	if fn := genKernels[bc][kc]; fn != nil {
 		return fn(e, bra, ket)
 	}
-	// Non-canonical d-bearing class (bra class < ket class): bra-ket
-	// symmetry makes the swapped kernel's output exactly the [ket][bra]
-	// layout of this quartet (within MD this is the R(-PQ) parity
-	// identity), so transpose it into separate scratch — cart would be
-	// clobbered in place.
+	// Non-canonical class (bra class < ket class): bra-ket symmetry
+	// makes the swapped kernel's output exactly the [ket][bra] layout of
+	// this quartet (within MD this is the R(-PQ) parity identity), so
+	// transpose it into separate scratch — cart would be clobbered in
+	// place.
 	e.Stats.MirrorGen++
 	swapped := genKernels[kc][bc](e, ket, bra)
 	nb := NumCart(bra.LA) * NumCart(bra.LB)
@@ -132,341 +99,4 @@ func (e *Engine) eriCartAuto(bra, ket *ShellPair) []float64 {
 		}
 	}
 	return out
-}
-
-// eriSSSS computes an (ss|ss) quartet: one F_0 evaluation per primitive
-// quartet, no tables at all.
-func (e *Engine) eriSSSS(bra, ket *ShellPair) []float64 {
-	cart := e.ensure(&e.cart, 1)
-	var v float64
-	for bi := range bra.prims {
-		bp := &bra.prims[bi]
-		for ki := range ket.prims {
-			kp := &ket.prims[ki]
-			e.Stats.PrimQuartets++
-			p, q := bp.p, kp.p
-			alpha := p * q / (p + q)
-			pq := bp.P.Sub(kp.P)
-			v += twoPiPow52 / (p * q * math.Sqrt(p+q)) *
-				bp.cc * kp.cc * bp.k3 * kp.k3 * boysF0(alpha*pq.Norm2())
-		}
-	}
-	cart[0] = v
-	return cart
-}
-
-// eriP100 computes a quartet where pp1 carries a single unit of angular
-// momentum ((ps|ss), (sp|ss) and, via the mirror identity, (ss|ps) and
-// (ss|sp)) — s0 is the ss side. Both one-p E layouts place the order-0
-// and order-1 coefficients at e[d][2] and e[d][3].
-func (e *Engine) eriP100(pp1, s0 *ShellPair) []float64 {
-	cart := e.ensure(&e.cart, 3)
-	cart[0], cart[1], cart[2] = 0, 0, 0
-	for bi := range pp1.prims {
-		bp := &pp1.prims[bi]
-		for ki := range s0.prims {
-			kp := &s0.prims[ki]
-			e.Stats.PrimQuartets++
-			p, q := bp.p, kp.p
-			alpha := p * q / (p + q)
-			pq := bp.P.Sub(kp.P)
-			Boys(1, alpha*pq.Norm2(), e.boys[:2])
-			pref := twoPiPow52 / (p * q * math.Sqrt(p+q)) *
-				bp.cc * kp.cc * bp.k3 * kp.k3
-			f0 := e.boys[0]
-			s1 := -2 * alpha * e.boys[1] // R_e = s1 * PQ_e
-			cart[0] += pref * (bp.e[0][2]*f0 + bp.e[0][3]*s1*pq.X)
-			cart[1] += pref * (bp.e[1][2]*f0 + bp.e[1][3]*s1*pq.Y)
-			cart[2] += pref * (bp.e[2][2]*f0 + bp.e[2][3]*s1*pq.Z)
-		}
-	}
-	return cart
-}
-
-// eriPP00 computes a (pp|ss) quartet (and, via the mirror identity,
-// (ss|pp)): pp is the p x p pair, s0 the ss side. The pp E layout
-// (jdim=2, tdim=3) places E^{11}_t at e[d][9+t], E^{10}_t at e[d][6+t]
-// and E^{01}_t at e[d][3+t]. Output is row-major over the pp pair's
-// component pairs (a*3+b), which is the flat batch layout for both
-// orientations.
-func (e *Engine) eriPP00(pp, s0 *ShellPair) []float64 {
-	cart := e.ensure(&e.cart, 9)
-	for i := range cart {
-		cart[i] = 0
-	}
-	for bi := range pp.prims {
-		bp := &pp.prims[bi]
-		for ki := range s0.prims {
-			kp := &s0.prims[ki]
-			e.Stats.PrimQuartets++
-			p, q := bp.p, kp.p
-			alpha := p * q / (p + q)
-			pq := bp.P.Sub(kp.P)
-			Boys(2, alpha*pq.Norm2(), e.boys[:3])
-			pref := twoPiPow52 / (p * q * math.Sqrt(p+q)) *
-				bp.cc * kp.cc * bp.k3 * kp.k3
-			f0 := e.boys[0]
-			s1 := -2 * alpha * e.boys[1]
-			s2 := 4 * alpha * alpha * e.boys[2]
-			pqd := [3]float64{pq.X, pq.Y, pq.Z}
-			var r1 [3]float64 // R_{e_d} = s1 PQ_d
-			for d := 0; d < 3; d++ {
-				r1[d] = s1 * pqd[d]
-			}
-			for a := 0; a < 3; a++ {
-				ea := bp.e[a]
-				row := cart[a*3 : a*3+3]
-				for b := 0; b < 3; b++ {
-					var s float64
-					if a == b {
-						// R_{2e_a} = s2 PQ_a^2 + s1.
-						s = ea[9]*f0 + ea[10]*r1[a] +
-							ea[11]*(s2*pqd[a]*pqd[a]+s1)
-					} else {
-						eb := bp.e[b]
-						s = ea[6]*(eb[3]*f0+eb[4]*r1[b]) +
-							ea[7]*(eb[3]*r1[a]+eb[4]*s2*pqd[a]*pqd[b])
-					}
-					row[b] += pref * s
-				}
-			}
-		}
-	}
-	return cart
-}
-
-// hermOff lists the flat offsets of the Hermite indices (t,u,v) in a
-// stride-5 R cube, ordered by total order t+u+v (000; 001 010 100; 002
-// 020 200 011 101 110), so the first hermCount[L] entries are exactly the
-// indices a side of total angular momentum L reaches.
-var hermOff = [10]int16{0, 1, 5, 25, 2, 10, 50, 6, 26, 30}
-
-var hermCount = [3]int{1, 4, 10}
-
-// offToHerm inverts hermOff for offsets up to order 2.
-var offToHerm [51]int8
-
-// dimOff5 is the stride-5 offset of one Hermite unit in dimension d.
-var dimOff5 = [3]int16{25, 5, 1}
-
-func init() {
-	for i := range offToHerm {
-		offToHerm[i] = -1
-	}
-	for i, o := range hermOff {
-		offToHerm[o] = int8(i)
-	}
-}
-
-// lowTerms holds the sparse Hermite expansion of one primitive pair of an
-// L<=1 shell pair: for each of its (up to 9) component pairs, up to four
-// (coefficient, stride-5 R offset) terms. The product of three one-
-// dimensional E tables is dense over at most 4 entries for s/p shells, so
-// fixed-size arrays suffice and building is branch-light.
-type lowTerms struct {
-	n    [9]int8
-	coef [9][4]float64
-	off  [9][4]int16
-}
-
-// buildLowTerms fills lt for primitive pair pp of shell pair sp.
-// sign = -1 applies the ket-side (-1)^{t+u+v} Hermite phase to odd-order
-// coefficients; pass +1 for a bra.
-func buildLowTerms(sp *ShellPair, pp *primPair, sign float64, lt *lowTerms) {
-	ca := CartComponents(sp.LA)
-	cb := CartComponents(sp.LB)
-	jdim := sp.LB + 1
-	tdim := sp.LA + sp.LB + 1
-	nc := 0
-	for _, A := range ca {
-		ax := [3]int{A.X, A.Y, A.Z}
-		for _, B := range cb {
-			bx := [3]int{B.X, B.Y, B.Z}
-			var tc [4]float64
-			var to [4]int16
-			tc[0], to[0] = 1, 0
-			cnt := 1
-			for d := 0; d < 3; d++ {
-				i, j := ax[d], bx[d]
-				if i+j == 0 {
-					continue // E^{00}_0 = 1 contributes no factor
-				}
-				ed := pp.e[d][(i*jdim+j)*tdim:]
-				var tc2 [4]float64
-				var to2 [4]int16
-				n2 := 0
-				for t := 0; t <= i+j; t++ {
-					c := ed[t]
-					if t&1 == 1 {
-						c *= sign
-					}
-					for k := 0; k < cnt; k++ {
-						tc2[n2] = tc[k] * c
-						to2[n2] = to[k] + int16(t)*dimOff5[d]
-						n2++
-					}
-				}
-				tc, to, cnt = tc2, to2, n2
-			}
-			lt.n[nc] = int8(cnt)
-			lt.coef[nc] = tc
-			lt.off[nc] = to
-			nc++
-		}
-	}
-}
-
-// hermiteR5 fills r (a stride-5 cube) with the Hermite Coulomb integrals
-// R^0_{tuv} for t+u+v <= l (l <= 4), like hermiteRTable but with a fixed
-// stride so precomputed lowTerms offsets stay valid across total angular
-// momenta. Entries of order > l are left stale and must not be read.
-func hermiteR5(l int, alpha float64, pq chem.Vec3, boys []float64, r *[125]float64, aux *[625]float64) {
-	at := func(m, t, u, v int) int { return m*125 + t*25 + u*5 + v }
-	f := 1.0
-	for m := 0; m <= l; m++ {
-		aux[at(m, 0, 0, 0)] = f * boys[m]
-		f *= -2 * alpha
-	}
-	for ord := 1; ord <= l; ord++ {
-		for m := 0; m <= l-ord; m++ {
-			for t := 0; t <= ord; t++ {
-				for u := 0; u <= ord-t; u++ {
-					v := ord - t - u
-					var val float64
-					switch {
-					case t > 0:
-						if t > 1 {
-							val += float64(t-1) * aux[at(m+1, t-2, u, v)]
-						}
-						val += pq.X * aux[at(m+1, t-1, u, v)]
-					case u > 0:
-						if u > 1 {
-							val += float64(u-1) * aux[at(m+1, t, u-2, v)]
-						}
-						val += pq.Y * aux[at(m+1, t, u-1, v)]
-					default:
-						if v > 1 {
-							val += float64(v-1) * aux[at(m+1, t, u, v-2)]
-						}
-						val += pq.Z * aux[at(m+1, t, u, v-1)]
-					}
-					aux[at(m, t, u, v)] = val
-				}
-			}
-		}
-	}
-	copy(r[:], aux[:125])
-}
-
-//go:generate go run gtfock/cmd/kernelgen -out kernels_gen.go
-
-// hermiteR9 computes the Hermite Coulomb integrals R^0_{tuv} for
-// t+u+v <= l (l <= 8) into the m = 0 plane aux[:729] of the stride-9
-// recursion scratch — the stride-9 analogue of hermiteR5, used by the
-// generated d-class kernels: the fixed stride keeps the generation-time
-// R offsets valid across every class sharing the cube, and reading the
-// m = 0 plane in place saves the copy-out. Entries of order > l are
-// left stale and must not be read.
-func hermiteR9(l int, alpha float64, pq chem.Vec3, boys []float64, aux *[6561]float64) {
-	at := func(m, t, u, v int) int { return m*729 + t*81 + u*9 + v }
-	f := 1.0
-	for m := 0; m <= l; m++ {
-		aux[at(m, 0, 0, 0)] = f * boys[m]
-		f *= -2 * alpha
-	}
-	for ord := 1; ord <= l; ord++ {
-		for m := 0; m <= l-ord; m++ {
-			for t := 0; t <= ord; t++ {
-				for u := 0; u <= ord-t; u++ {
-					v := ord - t - u
-					var val float64
-					switch {
-					case t > 0:
-						if t > 1 {
-							val += float64(t-1) * aux[at(m+1, t-2, u, v)]
-						}
-						val += pq.X * aux[at(m+1, t-1, u, v)]
-					case u > 0:
-						if u > 1 {
-							val += float64(u-1) * aux[at(m+1, t, u-2, v)]
-						}
-						val += pq.Y * aux[at(m+1, t, u-1, v)]
-					default:
-						if v > 1 {
-							val += float64(v-1) * aux[at(m+1, t, u, v-2)]
-						}
-						val += pq.Z * aux[at(m+1, t, u, v-1)]
-					}
-					aux[at(m, t, u, v)] = val
-				}
-			}
-		}
-	}
-}
-
-// eriLowL computes any all-s/p quartet not covered by a closed-form
-// kernel above — (pp|pp), one-p|one-p and the pp|one-p mixtures — via
-// precomputed sparse Hermite terms. Per primitive quartet: Boys values,
-// one stride-5 R cube, then a two-phase contraction through the small
-// g[braHermite][ketComponent] intermediate, with the per-pair term lists
-// built once per primitive pair rather than per quartet.
-func (e *Engine) eriLowL(bra, ket *ShellPair) []float64 {
-	nb := NumCart(bra.LA) * NumCart(bra.LB)
-	nk := NumCart(ket.LA) * NumCart(ket.LB)
-	braOrd := bra.LA + bra.LB
-	ltot := braOrd + ket.LA + ket.LB
-	nbh := hermCount[braOrd]
-
-	cart := e.ensure(&e.cart, nb*nk)
-	for i := range cart {
-		cart[i] = 0
-	}
-	if cap(e.ketTerms) < len(ket.prims) {
-		e.ketTerms = make([]lowTerms, len(ket.prims))
-	}
-	kts := e.ketTerms[:len(ket.prims)]
-	for ki := range ket.prims {
-		buildLowTerms(ket, &ket.prims[ki], -1, &kts[ki])
-	}
-	bt := &e.braTerms
-	for bi := range bra.prims {
-		bp := &bra.prims[bi]
-		buildLowTerms(bra, bp, 1, bt)
-		for ki := range ket.prims {
-			kp := &ket.prims[ki]
-			kt := &kts[ki]
-			e.Stats.PrimQuartets++
-			p, q := bp.p, kp.p
-			alpha := p * q / (p + q)
-			pq := bp.P.Sub(kp.P)
-			Boys(ltot, alpha*pq.Norm2(), e.boys[:ltot+1])
-			hermiteR5(ltot, alpha, pq, e.boys[:], &e.krt, &e.kraux)
-			pref := twoPiPow52 / (p * q * math.Sqrt(p+q)) *
-				bp.cc * kp.cc * bp.k3 * kp.k3
-			// Phase 1: ket terms against R at every bra-reachable index.
-			for h := 0; h < nbh; h++ {
-				base := int(hermOff[h])
-				gr := &e.g10[h]
-				for kc := 0; kc < nk; kc++ {
-					var s float64
-					for k := int8(0); k < kt.n[kc]; k++ {
-						s += kt.coef[kc][k] * e.krt[base+int(kt.off[kc][k])]
-					}
-					gr[kc] = s
-				}
-			}
-			// Phase 2: bra terms against g.
-			for ab := 0; ab < nb; ab++ {
-				row := cart[ab*nk : ab*nk+nk]
-				for k := int8(0); k < bt.n[ab]; k++ {
-					c := pref * bt.coef[ab][k]
-					gr := &e.g10[offToHerm[bt.off[ab][k]]]
-					for kc := 0; kc < nk; kc++ {
-						row[kc] += c * gr[kc]
-					}
-				}
-			}
-		}
-	}
-	return cart
 }

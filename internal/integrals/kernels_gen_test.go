@@ -9,7 +9,8 @@ import (
 	"gtfock/internal/chem"
 )
 
-// Property sweep over every class key with a d shell on some side: the
+// Property sweep over every class key with L <= 2 per shell — all 28
+// canonical classes and every mirrored one, s/p and d alike: the
 // generated kernel path (including mirror-transposed dispatch) must
 // match both the general MD path and the independent Obara-Saika oracle
 // to 1e-10 over random exponents, contractions and geometries.
@@ -18,15 +19,16 @@ func TestGenKernelsAgainstGeneralMDAndOS(t *testing.T) {
 	fast := NewEngine()
 	slow := NewEngine()
 	slow.DisableFastKernels = true
-	nd := 0
+	var nsp, nd int64
 	for la := 0; la <= 2; la++ {
 		for lb := 0; lb <= 2; lb++ {
 			for lc := 0; lc <= 2; lc++ {
 				for ld := 0; ld <= 2; ld++ {
 					if la < 2 && lb < 2 && lc < 2 && ld < 2 {
-						continue // all-s/p classes: kernels_test.go
+						nsp++
+					} else {
+						nd++
 					}
-					nd++
 					for trial := 0; trial < 4; trial++ {
 						a := randShellWide(rng, la)
 						b := randShellWide(rng, lb)
@@ -58,19 +60,20 @@ func TestGenKernelsAgainstGeneralMDAndOS(t *testing.T) {
 			}
 		}
 	}
-	want := int64(nd * 4)
-	if fast.Stats.FastGen != want || fast.Stats.FastQuartets != want {
-		t.Fatalf("generated kernels served %d/%d of %d d-bearing quartets",
-			fast.Stats.FastGen, fast.Stats.FastQuartets, want)
+	st := &fast.Stats
+	if st.FastSP != nsp*4 || st.FastGen != nd*4 || st.FastQuartets != (nsp+nd)*4 {
+		t.Fatalf("generated kernels served sp=%d gen=%d fast=%d, want %d + %d",
+			st.FastSP, st.FastGen, st.FastQuartets, nsp*4, nd*4)
 	}
-	if fast.Stats.GeneralQuartets != 0 {
-		t.Fatalf("%d d-bearing quartets leaked to the general path", fast.Stats.GeneralQuartets)
+	if st.GeneralQuartets != 0 {
+		t.Fatalf("%d L<=2 quartets leaked to the general path", st.GeneralQuartets)
 	}
 }
 
 // Mirror routing: non-canonical class keys (bra class < ket class) must
 // go through the swap-and-transpose wrapper, counted in MirrorGen, and
-// still match the general path. One spot per mirrored key family.
+// still match the general path and the Obara-Saika oracle. Every
+// mirrored s/p key, and one spot per mirrored d key family.
 func TestGenKernelMirrorRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(99173))
 	fast := NewEngine()
@@ -80,6 +83,11 @@ func TestGenKernelMirrorRouting(t *testing.T) {
 		la, lb, lc, ld int
 		bc, kc         int
 	}{
+		{0, 0, 1, 0, ClassSS, ClassPS}, // (ss|ps)
+		{0, 0, 0, 1, ClassSS, ClassPS}, // (ss|sp) — sp aliases ps
+		{0, 0, 1, 1, ClassSS, ClassPP}, // (ss|pp)
+		{1, 0, 1, 1, ClassPS, ClassPP}, // (ps|pp)
+		{0, 1, 1, 1, ClassPS, ClassPP}, // (sp|pp)
 		{0, 0, 2, 0, ClassSS, ClassDS}, // (ss|ds)
 		{1, 0, 0, 2, ClassPS, ClassDS}, // (ps|sd) — sd aliases ds
 		{1, 1, 2, 2, ClassPP, ClassDD}, // (pp|dd)
@@ -88,8 +96,9 @@ func TestGenKernelMirrorRouting(t *testing.T) {
 		{2, 1, 2, 2, ClassDP, ClassDD}, // (dp|dd)
 	}
 	for n, tc := range cases {
-		bra := fast.Pair(randShellWide(rng, tc.la), randShellWide(rng, tc.lb))
-		ket := fast.Pair(randShellWide(rng, tc.lc), randShellWide(rng, tc.ld))
+		a, b := randShellWide(rng, tc.la), randShellWide(rng, tc.lb)
+		c, d := randShellWide(rng, tc.lc), randShellWide(rng, tc.ld)
+		bra, ket := fast.Pair(a, b), fast.Pair(c, d)
 		before := fast.Stats.MirrorGen
 		got := append([]float64(nil), fast.eriCartAuto(bra, ket)...)
 		if fast.Stats.MirrorGen != before+1 {
@@ -100,16 +109,21 @@ func TestGenKernelMirrorRouting(t *testing.T) {
 				n, PairClassName(tc.bc), PairClassName(tc.kc))
 		}
 		ref := slow.eriCart(bra, ket)
+		os := ERICartOS(a, b, c, d)
 		for i := range got {
 			if math.Abs(got[i]-ref[i]) > 1e-10*(1+math.Abs(ref[i])) {
 				t.Fatalf("case %d elem %d: mirror %.14g vs MD %.14g", n, i, got[i], ref[i])
+			}
+			if math.Abs(got[i]-os[i]) > 1e-10*(1+math.Abs(os[i])) {
+				t.Fatalf("case %d elem %d: mirror %.14g vs OS %.14g", n, i, got[i], os[i])
 			}
 		}
 	}
 }
 
-// Coincident centers zero PA/PB/PQ and expose the structural-zero E
-// entries the generator does not fold away.
+// Coincident centers drive the Boys argument to its x = 0 corner, zero
+// PA/PB/PQ and expose the structural-zero E entries the generator does
+// not fold away: every class key, canonical and mirrored.
 func TestGenKernelsCoincidentCenters(t *testing.T) {
 	fast := NewEngine()
 	slow := NewEngine()
@@ -118,7 +132,7 @@ func TestGenKernelsCoincidentCenters(t *testing.T) {
 	mk := func(l int, e float64) *basis.Shell {
 		return rawShell(l, c, []float64{e}, []float64{1})
 	}
-	for _, l := range [][4]int{{2, 2, 2, 2}, {2, 0, 1, 2}, {0, 2, 2, 1}} {
+	forEachClassKey(func(l [4]int) {
 		bra := fast.Pair(mk(l[0], 1.3), mk(l[1], 0.7))
 		ket := fast.Pair(mk(l[2], 2.1), mk(l[3], 0.5))
 		got := append([]float64(nil), fast.eriCartAuto(bra, ket)...)
@@ -128,39 +142,43 @@ func TestGenKernelsCoincidentCenters(t *testing.T) {
 				t.Fatalf("coincident L=%v elem %d: %.14g vs %.14g", l, i, got[i], ref[i])
 			}
 		}
+	})
+	if fast.Stats.GeneralQuartets != 0 {
+		t.Fatalf("%d coincident quartets took the general path", fast.Stats.GeneralQuartets)
 	}
 }
 
-// Generated kernels must be allocation-free at steady state, including
-// the mirror-transpose wrapper (mirroring TestERIBatchZeroAlloc).
+// forEachClassKey calls fn with every shell angular-momentum key
+// (la, lb, lc, ld), each 0..2: the 28 canonical kernel classes, their
+// mirrors, and the sp/sd aliases.
+func forEachClassKey(fn func(l [4]int)) {
+	for k := 0; k < 81; k++ {
+		fn([4]int{k / 27, k / 9 % 3, k / 3 % 3, k % 3})
+	}
+}
+
+// Generated kernels must be allocation-free at steady state for every
+// class key, including the mirror-transpose wrapper (mirroring
+// TestERIBatchZeroAlloc).
 func TestGenKernelsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	e := NewEngine()
-	mkPair := func(la, lb int) *ShellPair {
-		return e.Pair(randShellWide(rng, la), randShellWide(rng, lb))
-	}
-	cases := []struct {
-		name     string
-		bra, ket *ShellPair
-	}{
-		{"dd_dd", mkPair(2, 2), mkPair(2, 2)},
-		{"dd_ss", mkPair(2, 2), mkPair(0, 0)},
-		{"pd_ps", mkPair(1, 2), mkPair(1, 0)},
-		{"mirror_pp_dd", mkPair(1, 1), mkPair(2, 2)},
-	}
-	for _, tc := range cases {
-		e.eriCartAuto(tc.bra, tc.ket) // warm scratch
-		if n := testing.AllocsPerRun(50, func() {
-			e.eriCartAuto(tc.bra, tc.ket)
+	forEachClassKey(func(l [4]int) {
+		bra := e.Pair(randShellWide(rng, l[0]), randShellWide(rng, l[1]))
+		ket := e.Pair(randShellWide(rng, l[2]), randShellWide(rng, l[3]))
+		e.eriCartAuto(bra, ket) // warm scratch
+		if n := testing.AllocsPerRun(20, func() {
+			e.eriCartAuto(bra, ket)
 		}); n != 0 {
-			t.Errorf("%s: %v allocs/op at steady state", tc.name, n)
+			t.Errorf("L=%v: %v allocs/op at steady state", l, n)
 		}
-	}
+	})
 }
 
 // On a real d-bearing basis (methane, cc-pVDZ) the dispatcher must
-// route 100% of quartets to specialized kernels: every pair class is
-// L<=2 per side, so the general path must never fire.
+// route 100% of quartets to generated kernels: every pair class is
+// L<=2 per side, so the general path must never fire, and the s/p and
+// d-bearing counters must partition the quartets exactly.
 func TestCCPVDZDispatchCoverage(t *testing.T) {
 	bs, err := basis.Build(chem.Methane(), "cc-pvdz")
 	if err != nil {
@@ -187,17 +205,26 @@ func TestCCPVDZDispatchCoverage(t *testing.T) {
 		t.Fatalf("fast counts inconsistent: sp=%d gen=%d fast=%d total=%d",
 			st.FastSP, st.FastGen, st.FastQuartets, st.Quartets)
 	}
-	if st.FastGen == 0 || st.ByClass[ClassDS][ClassDS] == 0 {
-		t.Fatalf("cc-pVDZ exercised no d-class kernels: %+v", st)
+	if st.FastSP == 0 || st.FastGen == 0 || st.ByClass[ClassDS][ClassDS] == 0 {
+		t.Fatalf("cc-pVDZ did not exercise both s/p and d kernels: %+v", st)
+	}
+	var sp int64
+	for bc := ClassSS; bc <= ClassPP; bc++ {
+		for kc := ClassSS; kc <= ClassPP; kc++ {
+			sp += st.ByClass[bc][kc]
+		}
+	}
+	if st.FastSP != sp {
+		t.Fatalf("FastSP = %d, but ByClass holds %d all-s/p quartets", st.FastSP, sp)
 	}
 	if st.GeneralFraction() != 0 {
 		t.Fatalf("GeneralFraction = %v, want 0", st.GeneralFraction())
 	}
 }
 
-func BenchmarkERIKernelDSSS(b *testing.B)   { benchKernelPair(b, 2, 0, 0, 0, false) }
-func BenchmarkERIKernelPDPS(b *testing.B)   { benchKernelPair(b, 1, 2, 1, 0, false) }
-func BenchmarkERIKernelDDDD(b *testing.B)   { benchKernelPair(b, 2, 2, 2, 2, false) }
-func BenchmarkERIGeneralDSSS(b *testing.B)  { benchKernelPair(b, 2, 0, 0, 0, true) }
-func BenchmarkERIGeneralPDPS(b *testing.B)  { benchKernelPair(b, 1, 2, 1, 0, true) }
-func BenchmarkERIGeneralDDDD(b *testing.B)  { benchKernelPair(b, 2, 2, 2, 2, true) }
+func BenchmarkERIKernelDSSS(b *testing.B)  { benchKernelPair(b, 2, 0, 0, 0, false) }
+func BenchmarkERIKernelPDPS(b *testing.B)  { benchKernelPair(b, 1, 2, 1, 0, false) }
+func BenchmarkERIKernelDDDD(b *testing.B)  { benchKernelPair(b, 2, 2, 2, 2, false) }
+func BenchmarkERIGeneralDSSS(b *testing.B) { benchKernelPair(b, 2, 0, 0, 0, true) }
+func BenchmarkERIGeneralPDPS(b *testing.B) { benchKernelPair(b, 1, 2, 1, 0, true) }
+func BenchmarkERIGeneralDDDD(b *testing.B) { benchKernelPair(b, 2, 2, 2, 2, true) }

@@ -10,7 +10,7 @@ import (
 )
 
 // randShellWide is randShell with a wide exponent range (10^-1..10^2.5)
-// and signed contractions: the property sweep for the specialized kernels
+// and signed contractions: the property sweep for the generated kernels
 // must cover tight cores and diffuse tails, not just the comfortable
 // middle.
 func randShellWide(rng *rand.Rand, l int) *basis.Shell {
@@ -29,7 +29,7 @@ func randShellWide(rng *rand.Rand, l int) *basis.Shell {
 	return rawShell(l, c, exps, coefs)
 }
 
-// Property sweep: for every s/p class key, the specialized kernel path
+// Property sweep: for every s/p class key, the generated kernel path
 // must match both the general MD path and the independent Obara-Saika
 // oracle to 1e-10 over random exponents, contractions and geometries.
 func TestKernelsAgainstGeneralMDAndOS(t *testing.T) {
@@ -106,9 +106,9 @@ func TestKernelsCoincidentCenters(t *testing.T) {
 	}
 }
 
-// The dispatcher must route every L<=2-per-shell quartet to a
-// specialized kernel — the hand s/p set or the generated d-class set —
-// and anything with an f shell to the general path.
+// The dispatcher must route every L<=2-per-shell quartet to a generated
+// kernel, count it once as s/p or d-bearing, and send anything with an
+// f shell to the general path.
 func TestKernelDispatchCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	e := NewEngine()
@@ -117,18 +117,22 @@ func TestKernelDispatchCoverage(t *testing.T) {
 	}
 	e.eriCartAuto(sp(0), sp(0))
 	e.eriCartAuto(sp(1), sp(1))
-	if e.Stats.FastSP != 2 || e.Stats.FastQuartets != 2 {
-		t.Fatalf("s/p quartets not dispatched to hand kernels: %+v", e.Stats)
+	if e.Stats.FastSP != 2 || e.Stats.FastGen != 0 || e.Stats.FastQuartets != 2 {
+		t.Fatalf("s/p quartets not counted once as s/p: %+v", e.Stats)
+	}
+	e.eriCartAuto(sp(0), sp(1))
+	if e.Stats.FastSP != 3 || e.Stats.MirrorGen != 1 || e.Stats.FastQuartets != 3 {
+		t.Fatalf("mirrored s/p quartet miscounted: %+v", e.Stats)
 	}
 	e.eriCartAuto(sp(2), sp(0))
-	if e.Stats.FastGen != 1 || e.Stats.FastQuartets != 3 {
+	if e.Stats.FastGen != 1 || e.Stats.FastSP != 3 || e.Stats.FastQuartets != 4 {
 		t.Fatalf("d quartet not dispatched to a generated kernel: %+v", e.Stats)
 	}
 	if e.Stats.ByClass[ClassDS][ClassSS] != 1 {
 		t.Fatalf("ByClass miscounted: %+v", e.Stats.ByClass)
 	}
 	e.eriCartAuto(sp(3), sp(0))
-	if e.Stats.GeneralQuartets != 1 || e.Stats.FastQuartets != 3 {
+	if e.Stats.GeneralQuartets != 1 || e.Stats.FastQuartets != 4 {
 		t.Fatalf("f quartet did not take the general path: %+v", e.Stats)
 	}
 	if e.Stats.ByClass[ClassHi][ClassSS] != 1 {

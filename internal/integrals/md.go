@@ -2,7 +2,6 @@ package integrals
 
 import (
 	"math"
-	"unsafe"
 
 	"gtfock/internal/basis"
 	"gtfock/internal/chem"
@@ -178,14 +177,15 @@ type Stats struct {
 	Quartets     int64 // shell quartets computed
 	Integrals    int64 // basis-function ERIs produced (spherical)
 	PrimQuartets int64 // primitive quartets surviving prescreening
-	FastQuartets int64 // quartets served by any specialized kernel
+	FastQuartets int64 // quartets served by a generated kernel
 
-	// FastQuartets split by kernel family: FastSP counts the hand-written
-	// s/p kernels, FastGen the generated d-class kernels (kernels_gen.go;
-	// FastQuartets = FastSP + FastGen), and MirrorGen the subset of
-	// FastGen served through the swap-and-transpose mirror wrapper.
-	// GeneralQuartets took the general MD recursion (L > 2 on some shell,
-	// or DisableFastKernels); Quartets = FastQuartets + GeneralQuartets.
+	// FastQuartets split by shell content, all served by the generated
+	// kernels (kernels_gen.go): FastSP counts the all-s/p quartets and
+	// FastGen those with a d shell, so FastQuartets = FastSP + FastGen.
+	// MirrorGen is the subset of FastQuartets served through the
+	// swap-and-transpose mirror wrapper. GeneralQuartets took the general
+	// MD recursion (L > 2 on some shell, or DisableFastKernels);
+	// Quartets = FastQuartets + GeneralQuartets.
 	FastSP          int64
 	FastGen         int64
 	MirrorGen       int64
@@ -213,13 +213,9 @@ type Engine struct {
 	// PrimTol enables primitive pre-screening in pairs built through the
 	// engine (see NewShellPair).
 	PrimTol float64
-	// UseHGP selects the Head-Gordon-Pople (Obara-Saika + horizontal
-	// recurrence) algorithm instead of McMurchie-Davidson for ERI batches;
-	// results are identical to rounding.
-	UseHGP bool
 	// DisableFastKernels forces every quartet through the general MD path
-	// instead of the specialized low angular-momentum kernels (kernels.go).
-	// An A/B knob and escape hatch; the kernels are on by default.
+	// instead of the generated kernels (kernels_gen.go). An A/B knob and
+	// escape hatch; the kernels are on by default.
 	DisableFastKernels bool
 	Stats              Stats
 
@@ -231,20 +227,12 @@ type Engine struct {
 	sphScr [2][]float64
 	out    []float64
 
-	// Fast-kernel scratch (kernels.go): fixed-size, so specialized paths
-	// never touch the allocator.
-	krt      [125]float64
-	kraux    [625]float64
-	g10      [10][9]float64
-	braTerms lowTerms
-	ketTerms []lowTerms
-
-	// Generated d-class kernel scratch (kernels_gen.go): the stride-9
-	// Hermite recursion cube (its m = 0 plane holds the final R values),
-	// the g[braHermite][ketComp] two-phase intermediate, the per-
+	// Generated-kernel scratch (kernels_gen.go): the stride-9 Hermite R
+	// cube, the g[braHermite][ketComp] two-phase intermediate, the per-
 	// primitive-pair folded bra terms (336 = the dd slot count), and the
-	// growable ket-term and mirror-transpose buffers.
-	kraux9   [6561]float64
+	// growable ket-term and mirror-transpose buffers. The fixed-size
+	// arrays keep the kernels off the allocator.
+	genR     [729]float64
 	genG     [35][36]float64
 	genBra   [336]float64
 	genKet   []float64
@@ -278,7 +266,7 @@ func (e *Engine) ScratchBytes() int {
 	n := cap(e.raux) + cap(e.rtab) + cap(e.gtab) + cap(e.cart) +
 		cap(e.sphScr[0]) + cap(e.sphScr[1]) + cap(e.out) +
 		cap(e.genKet) + cap(e.genCartT)
-	return n*8 + cap(e.ketTerms)*int(unsafe.Sizeof(lowTerms{}))
+	return n * 8
 }
 
 // TrimScratch releases the engine's growable scratch if it exceeds budget
@@ -296,7 +284,6 @@ func (e *Engine) TrimScratch(budget int) {
 	}
 	e.raux, e.rtab, e.gtab, e.cart = nil, nil, nil, nil
 	e.sphScr[0], e.sphScr[1], e.out = nil, nil, nil
-	e.ketTerms = nil
 	e.genKet, e.genCartT = nil, nil
 }
 
@@ -305,12 +292,7 @@ func (e *Engine) TrimScratch(budget int) {
 // [a][b][c][d]. The returned slice is engine-owned scratch, valid until
 // the next engine call; copy it to retain it.
 func (e *Engine) ERI(bra, ket *ShellPair) []float64 {
-	var cart []float64
-	if e.UseHGP {
-		cart = e.eriCartHGP(bra, ket)
-	} else {
-		cart = e.eriCartAuto(bra, ket)
-	}
+	cart := e.eriCartAuto(bra, ket)
 	sph := sphTransform4(bra.LA, bra.LB, ket.LA, ket.LB, cart, &e.sphScr)
 	n := len(sph)
 	e.Stats.Quartets++

@@ -160,10 +160,11 @@ type Sample struct {
 	LeaseRenewals int64
 	StealFails    int64 // steal scans that came up dry
 
-	// ERI dispatch split (from integrals.Stats deltas per task): quartets
-	// served by the hand s/p kernels, by the generated d-class kernels,
-	// and by the general MD recursion, so bench/serve output can report
-	// what fraction of the integral work still takes the general path.
+	// ERI dispatch split (from integrals.Stats deltas per task): all-s/p
+	// and d-bearing quartets served by the generated kernels, and
+	// quartets that took the general MD recursion, so bench/serve output
+	// can report what fraction of the integral work still takes the
+	// general path.
 	QuartetsFastSP  int64
 	QuartetsFastGen int64
 	QuartetsGeneral int64

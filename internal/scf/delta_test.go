@@ -79,17 +79,20 @@ func TestDeltaLinearityProperty(t *testing.T) {
 
 // Full SCF equivalence: the stored-ERI cache plus ΔD incremental builds
 // must reproduce the plain run's converged energy to 1e-9 (without the
-// density screen both paths are exact).
+// density screen both paths are exact). Both runs converge well past
+// that tolerance, so where each stops does not decide the comparison.
 func TestDeltaDCacheMatchesPlain(t *testing.T) {
 	for _, mol := range []*chem.Molecule{chem.Methane(), chem.Alkane(2)} {
 		base, err := RunHF(mol, Options{
 			BasisName: "sto-3g", Engine: EngineGTFock, Prow: 2, Pcol: 2,
+			ConvTol: 1e-11, DTol: 1e-7,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := RunHF(mol, Options{
 			BasisName: "sto-3g", Engine: EngineGTFock, Prow: 2, Pcol: 2,
+			ConvTol: 1e-11, DTol: 1e-7,
 			ERICache: true, DeltaD: true,
 		})
 		if err != nil {
@@ -101,18 +104,18 @@ func TestDeltaDCacheMatchesPlain(t *testing.T) {
 		if diff := math.Abs(res.Energy - base.Energy); diff > 1e-9 {
 			t.Fatalf("%s: cached ΔD energy off by %g", mol.Formula(), diff)
 		}
-		// Iteration 1 records and builds fully; every later iteration is
-		// an incremental replay.
-		if res.Iterations[0].DeltaBuild {
-			t.Fatal("iteration 1 marked as a delta build")
-		}
-		for i, it := range res.Iterations[1:] {
-			if !it.DeltaBuild {
-				t.Fatalf("iteration %d: not a delta build", i+2)
+		// Iteration 1 records and builds fully; after it the default
+		// schedule is 8 incremental replays, then a full drift-reset
+		// build (iteration 10, 19, ...), and every build after the
+		// recording one is served from the cache.
+		const resetEvery = 8
+		for i, it := range res.Iterations {
+			if want := i%(resetEvery+1) != 0; it.DeltaBuild != want {
+				t.Fatalf("iteration %d: DeltaBuild = %v, want %v", i+1, it.DeltaBuild, want)
 			}
-			if it.Cache.TaskMisses != 0 || it.Cache.TaskHits == 0 {
+			if i > 0 && (it.Cache.TaskMisses != 0 || it.Cache.TaskHits == 0) {
 				t.Fatalf("iteration %d: cache hits/misses %d/%d",
-					i+2, it.Cache.TaskHits, it.Cache.TaskMisses)
+					i+1, it.Cache.TaskHits, it.Cache.TaskMisses)
 			}
 		}
 		if res.CacheStats.HitRate() == 0 {

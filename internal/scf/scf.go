@@ -71,7 +71,6 @@ type Options struct {
 
 	Engine     Engine // default EngineGTFock
 	Prow, Pcol int    // process grid (GTFock) / Prow*Pcol processes (NWChem)
-	UseHGP     bool   // select the Head-Gordon-Pople ERI path
 
 	// DensityScreen enables density-weighted quartet screening in the
 	// GTFock engine: the shared pair table caches per-shell-block max|D|
@@ -588,7 +587,7 @@ func buildG(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, pt *integral
 	switch opt.Engine {
 	case EngineGTFock:
 		copt := core.Options{
-			Prow: opt.Prow, Pcol: opt.Pcol, PrimTol: opt.PrimTol, UseHGP: opt.UseHGP,
+			Prow: opt.Prow, Pcol: opt.Pcol, PrimTol: opt.PrimTol,
 			PairTable: pt, DensityScreen: opt.DensityScreen, ERIStore: store,
 			Trace: opt.FockTrace, Metrics: opt.FockMetrics,
 			Ctx: opt.Ctx, Backend: opt.FockBackend,

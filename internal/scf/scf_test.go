@@ -171,23 +171,6 @@ func TestPurificationMatchesEigensolver(t *testing.T) {
 	}
 }
 
-// The two ERI algorithms (McMurchie-Davidson and Head-Gordon-Pople) must
-// give the same SCF energy through the full parallel stack.
-func TestHGPEngineMatchesMD(t *testing.T) {
-	mol := chem.Methane()
-	md, err := RunHF(mol, Options{BasisName: "sto-3g", Prow: 2, Pcol: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hgp, err := RunHF(mol, Options{BasisName: "sto-3g", Prow: 2, Pcol: 2, UseHGP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hgp.Converged || math.Abs(hgp.Energy-md.Energy) > 1e-9 {
-		t.Fatalf("HGP %.12f vs MD %.12f", hgp.Energy, md.Energy)
-	}
-}
-
 // The in-core engine (stored AO tensor, no screening) must reproduce the
 // direct engines' energy.
 func TestInCoreMatchesDirect(t *testing.T) {
