@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha fuzz-smoke ci bench microbench bench-short bench-check bench-ab
+.PHONY: build test vet race generate-check net-test net-smoke net-kill cache-test serve-test serve-ha fuzz-smoke ci bench microbench bench-short bench-check bench-ab
 
 build:
 	$(GO) build ./...
@@ -34,25 +34,16 @@ net-test:
 net-smoke:
 	$(GO) test -count=1 -run 'TestLoopback(Chaos)?BuildMatchesSerial' ./internal/net/
 
-# Process-kill chaos gate under the race detector: durable shard servers
-# SIGKILLed and restarted (snapshot + journal replay) mid-build, and a
-# primary killed with no restart so its hot standby must be promoted —
-# both must match the serial oracle with exactly-once accumulation, plus
-# the durability/failover unit layer (journal replay property, dedup
-# eviction bounds, graceful shutdown, membership lookup) and the
-# internal/durable log and atomic-write layer (crash-point enumeration,
-# pinned framing, fuzz seeds).
-net-failover:
-	$(GO) test -race -count=1 -run 'TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestJournal|TestSnapshotRoundTrip|TestKillRestartRecoversState|TestDedupEvictionAtCheckpointOnly|TestGracefulShutdownFlushesSnapshot|TestStandbyPromotionPreservesState|TestFailoverViaMembershipLookup|TestServerKill|TestRunServerKills|TestLog|TestWriteFile|FuzzLogReplay' ./internal/net/ ./internal/fault/ ./internal/durable/
-
-# Elastic-fleet gate under the race detector: the membership-churn chaos
-# build (shard join, graceful leave, and primary kill mid-build on a
-# deterministic schedule must match the serial oracle exactly-once), plus
-# the fleet coordinator unit layer (lease expiry, standby promotion,
-# drain), the placement property tests (deterministic minimal-move
-# rebalance), and the concurrent-promotion single-flight router test.
-net-elastic:
-	$(GO) test -race -count=1 -run 'TestElasticChurnBuildMatchesSerial|TestFleet|TestRebalance|TestRouter|TestMembershipChurn' ./internal/net/ ./internal/fault/
+# Process-kill chaos gate under the race detector: shard servers
+# SIGKILLed mid-build on a seeded schedule and restarted empty; the build
+# retries under a fresh session and must match the serial oracle with
+# exactly-once accumulation (tasks_total == ns^2). Plus the restarted
+# shard's deterministic "unknown session" rejection, the kill-schedule
+# runner, and the internal/durable log and atomic-write layer the
+# registry and SCF checkpoints rest on (crash-point enumeration, pinned
+# framing, fuzz seeds).
+net-kill:
+	$(GO) test -race -count=1 -run 'TestLoopbackKillRestartBuildMatchesSerial|TestMultiServerKillForgetsSessions|TestServerKill|TestRunServerKills|TestLog|TestWriteFile|FuzzLogReplay' ./internal/net/ ./internal/fault/ ./internal/durable/
 
 # Stored-ERI cache and ΔD gate under the race detector: the store unit
 # layer (commit idempotence, budget/spill/drop legs, blob keying), the
@@ -87,13 +78,19 @@ serve-test:
 serve-ha:
 	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestRegistryRecovery|TestRegistryOldFramingRecovers|TestDaemonKillPlanDeterministic|TestRunDaemonKillsExecutesSchedule' ./internal/serve/ ./internal/fault/
 
-# Ten-second fuzz of the durable log's replay over arbitrary file bytes:
-# no panic, no allocation past the record bound, cuts only at a frame
-# boundary.
+# Ten seconds per fuzz target over bytes from disk or the network: the
+# durable log's replay (no panic, no allocation past the record bound,
+# cuts only at a frame boundary), the wire request/response decoders (no
+# panic, decode -> encode round trip), and arbitrary decoded requests
+# against a live shard server (error statuses, never a panic or a write
+# to another session's arrays).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz=FuzzLogReplay -fuzztime=10s ./internal/durable/
+	$(GO) test -run '^$$' -fuzz='^FuzzLogReplay$$' -fuzztime=10s ./internal/durable/
+	$(GO) test -run '^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s ./internal/net/
+	$(GO) test -run '^$$' -fuzz='^FuzzDecodeResponse$$' -fuzztime=10s ./internal/net/
+	$(GO) test -run '^$$' -fuzz='^FuzzServerApply$$' -fuzztime=10s ./internal/net/
 
-ci: build vet generate-check race net-smoke net-failover net-elastic cache-test serve-test serve-ha fuzz-smoke
+ci: build vet generate-check race net-smoke net-kill cache-test serve-test serve-ha fuzz-smoke
 
 # Go-testing microbenchmarks (one iteration each; a compile-and-run smoke).
 microbench:

@@ -86,12 +86,10 @@ func main() {
 
 		// Network backend (gtfock real mode): the global arrays live in
 		// fockd shard servers and every one-sided op is a framed TCP RPC.
-		backend     = flag.String("backend", "local", "global-array transport: local (in-process) or net (fockd shard servers)")
-		netServers  = flag.String("net-servers", "", "comma-separated fockd addresses (backend=net); must match the fockd cluster order")
-		netStandbys = flag.String("net-standbys", "", "comma-separated standby addresses per slot (backend=net); empty entries allowed")
-		netSession  = flag.Uint64("net-session", 0, "session id for the net backend (0 = derive from wall clock); a fresh id resets the servers")
-		netFleet    = flag.String("fleet", "", "elastic fleet coordinator address (backend=net); replaces -net-servers with live membership")
-		netVerify   = flag.Bool("net-verify", false, "verify the net-backed G against the serial oracle (small molecules)")
+		backend    = flag.String("backend", "local", "global-array transport: local (in-process) or net (fockd shard servers)")
+		netServers = flag.String("net-servers", "", "comma-separated fockd addresses (backend=net), in -index order")
+		netSession = flag.Uint64("net-session", 0, "session id for the net backend (0 = derive from wall clock); a new id starts from empty arrays")
+		netVerify  = flag.Bool("net-verify", false, "verify the net-backed G against the serial oracle (small molecules)")
 
 		// Network fault injection (backend=net): applied at the conn layer.
 		netReset       = flag.Float64("fault-net-reset", 0, "probability an RPC's connection is reset mid-flight")
@@ -194,26 +192,20 @@ func main() {
 				session = uint64(time.Now().UnixNano())
 			}
 			var rpc *metrics.RPC
+			var addrs []string
 			if *backend == "net" {
-				rpc = &metrics.RPC{}
-				if *netFleet != "" {
-					copt.Backend = fleetFactory(*netFleet, session, rpc)
-					fmt.Printf("net backend: elastic fleet at %s, session %d\n", *netFleet, session)
-				} else {
-					if *netServers == "" {
-						fatalIf(fmt.Errorf("-backend net requires -net-servers or -fleet"))
-					}
-					addrs := strings.Split(*netServers, ",")
-					var standbys []string
-					if *netStandbys != "" {
-						standbys = strings.Split(*netStandbys, ",")
-					}
-					copt.Backend = netFactory(addrs, standbys, session, copt.Fault, rpc)
-					fmt.Printf("net backend: %d shard servers (%d standbys), session %d\n", len(addrs), len(standbys), session)
+				if *netServers == "" {
+					fatalIf(fmt.Errorf("-backend net requires -net-servers"))
 				}
+				addrs = strings.Split(*netServers, ",")
+				rpc = &metrics.RPC{}
 				copt.LeaseTTL = time.Duration(*leaseMS) * time.Millisecond
+				fmt.Printf("net backend: %d shard servers, session %d\n", len(addrs), session)
 			} else if *backend != "local" {
 				fatalIf(fmt.Errorf("unknown backend %q", *backend))
+			}
+			if *eriCache && *eriSpill && *backend != "net" {
+				fatalIf(fmt.Errorf("-eri-spill requires -backend net"))
 			}
 			if *trace {
 				copt.Trace = &dist.Trace{}
@@ -228,46 +220,52 @@ func main() {
 				fatalIf(err)
 				fmt.Printf("debug endpoint: http://%s/debug/vars (expvar) and http://%s/debug/pprof/\n", addr, addr)
 			}
+			// begin opens the shard session (and the stored-ERI cache that
+			// lives in it) a build attempt runs under.
+			var ns *shardSession
 			var store *integrals.ERIStore
-			var spillClose func()
-			if *eriCache {
-				var spill integrals.BlobStore
-				if *eriSpill {
-					if *backend != "net" || *netServers == "" {
-						fatalIf(fmt.Errorf("-eri-spill requires -backend net with -net-servers"))
-					}
-					// Dedicated blob client: the per-build array clients are
-					// closed after every build, but spilled batches must
-					// survive from the recording build to the replays.
-					bgrid := core.Grid(bs, prow, pcol)
-					addrs := strings.Split(*netServers, ",")
-					assign, _ := netga.SplitProcs(bgrid.NumProcs(), len(addrs))
-					bc, err := netga.Dial(bgrid, dist.NewRunStats(bgrid.NumProcs()), addrs, assign,
-						netga.Config{Array: 0, Session: session, RPC: rpc})
-					fatalIf(err)
-					spill = bc
-					spillClose = func() { bc.Close() }
+			begin := func() {
+				if addrs != nil {
+					ns = &shardSession{addrs: addrs, id: session, inj: copt.Fault, rpc: rpc}
+					copt.Backend = ns.backend
 				}
-				store = integrals.NewERIStore(bs.NumShells(), *eriBudget, spill, session, nil)
-				copt.ERIStore = store
-				if copt.Backend != nil {
-					wrapped, closeAll := persistentBackend(copt.Backend)
-					copt.Backend = wrapped
-					defer closeAll()
+				if *eriCache {
+					var spill integrals.BlobStore
+					if *eriSpill {
+						bc, err := ns.dialBlobs(core.Grid(bs, prow, pcol))
+						fatalIf(err)
+						spill = bc
+					}
+					store = integrals.NewERIStore(bs.NumShells(), *eriBudget, spill, session, nil)
+					copt.ERIStore = store
 				}
 			}
+			begin()
 			res := core.Build(bs, scr, d, copt)
+			for retry := 1; res.Err != nil && ns != nil && ns.lost() && retry <= freshSessionRetries; retry++ {
+				// A shard restarted and forgot the session: nothing of it
+				// survives, so rebuild from scratch under a fresh one.
+				fmt.Printf("net backend: session %d lost to a shard restart (%v); retry %d under session %d\n",
+					session, res.Err, retry, session+1)
+				ns.close()
+				session++
+				begin()
+				res = core.Build(bs, scr, d, copt)
+			}
+			if res.Err != nil && ns != nil {
+				ns.close()
+			}
 			fatalIf(res.Err)
 			fmt.Printf("wall time: %v,  |G|_max = %.6f\n", res.Wall, res.G.MaxAbs())
 			report(res.Stats, fmt.Sprintf("real, %dx%d grid, %s backend", prow, pcol, *backend))
 			if store != nil {
 				replayCachedBuilds(bs, scr, d, copt, store, res, *eriBuilds)
-				if spillClose != nil {
-					spillClose()
-				}
 			}
 			if rpc != nil {
 				reportRPC(rpc)
+			}
+			if ns != nil {
+				ns.close()
 			}
 			if *netVerify {
 				ref := core.BuildSerial(bs, scr, d)
@@ -321,8 +319,8 @@ func report(st *dist.RunStats, label string) {
 			r.Crashes, r.Stalls, r.Aborts, r.WorkersFenced)
 		fmt.Printf("                       %d blocks orphaned, %d reassigned (%d tasks), %d fenced flushes\n",
 			r.BlocksOrphaned, r.BlocksReassigned, r.TasksReassigned, r.FencedFlushes)
-		fmt.Printf("                       %d op drops, %d op retries, %d extra rounds, %d shard failovers\n",
-			r.OpDrops, r.OpRetries, r.Rounds, r.Failovers)
+		fmt.Printf("                       %d op drops, %d op retries, %d extra rounds\n",
+			r.OpDrops, r.OpRetries, r.Rounds)
 	}
 }
 
@@ -398,34 +396,6 @@ func runChaos(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix,
 	}
 }
 
-// persistentBackend shares one set of array clients across the repeated
-// cache builds: a fresh per-build client restarts its Acc-token counter,
-// and on the already-installed session the servers' exactly-once dedup
-// would discard the later builds' accumulates as replays of the first.
-// Repeated-build RPC traffic is accounted to the first build's stats.
-func persistentBackend(f func(*dist.Grid2D, *dist.RunStats) (dist.Backend, dist.Backend, func(), error)) (
-	wrapped func(*dist.Grid2D, *dist.RunStats) (dist.Backend, dist.Backend, func(), error),
-	closeAll func()) {
-	var gaD, gaF dist.Backend
-	var cleanup func()
-	wrapped = func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-		if gaD == nil {
-			var err error
-			gaD, gaF, cleanup, err = f(grid, stats)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		return gaD, gaF, nil, nil
-	}
-	closeAll = func() {
-		if cleanup != nil {
-			cleanup()
-		}
-	}
-	return wrapped, closeAll
-}
-
 // replayCachedBuilds re-runs the build against the store populated by
 // the first (recording) build and reports the replay speedup and
 // hit rate per build. Every replayed G is checked against the recorded
@@ -465,71 +435,86 @@ func replayCachedBuilds(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix,
 	}
 }
 
-// netFactory returns a core.Options.Backend factory that dials the
-// user-supplied fockd shard servers for the D and F arrays. The fockd
-// cluster must have been started with the same molecule, basis, grid
-// and ordering so both sides derive the identical block layout.
-func netFactory(addrs, standbys []string, session uint64, inj *fault.Injector, rpc *metrics.RPC) func(
-	grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-	return func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-		assign, _ := netga.SplitProcs(grid.NumProcs(), len(addrs))
-		// One router shared by the D and F clients: a failover observed
-		// through either array reroutes both.
-		router := netga.NewRouter(addrs, standbys, 0, rpc)
-		gaD, err := netga.Dial(grid, stats, addrs, assign, netga.Config{
-			Array: 0, Session: session, RPC: rpc, Fault: inj, Router: router,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		gaF, err := netga.Dial(grid, stats, addrs, assign, netga.Config{
-			Array: 1, Session: session, RPC: rpc, Fault: inj, Router: router,
-		})
-		if err != nil {
-			gaD.Close()
-			return nil, nil, nil, err
-		}
-		cleanup := func() {
-			gaD.Close()
-			gaF.Close()
-		}
-		return gaD, gaF, cleanup, nil
-	}
+// freshSessionRetries caps the builds fockbuild retries under a fresh
+// session after a shard restart lost the current one (the same default
+// as the HF service's job retries).
+const freshSessionRetries = 3
+
+// shardSession is one session on the fockd shard servers: the D and F
+// array clients and, with -eri-spill, the blob client.
+type shardSession struct {
+	addrs []string
+	id    uint64
+	inj   *fault.Injector
+	rpc   *metrics.RPC
+
+	d, f, blobs *netga.Client
 }
 
-// fleetFactory returns a core.Options.Backend factory for the elastic
-// fleet: routing comes from the coordinator's live membership view
-// instead of a static server list, so shards can join, leave or fail
-// over mid-build. The placement-generation delta across the build is
-// charged to the RPC counters as blocks migrated under the driver.
-func fleetFactory(fleetAddr string, session uint64, rpc *metrics.RPC) func(
-	grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-	return func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-		router := netga.NewFleetRouter(fleetAddr, 0, rpc)
-		gaD, err := netga.DialFleet(grid, stats, fleetAddr, netga.Config{
-			Array: 0, Session: session, RPC: rpc, Router: router,
-		})
+// backend is the core.Options.Backend factory. The D and F clients are
+// dialed by the first build and shared by every later build of the
+// session: a fresh client restarts its Acc-token counter, and on the
+// live session the servers' exactly-once dedup would discard the later
+// builds' accumulates as replays of the first. Repeated-build RPC
+// traffic is accounted to the first build's stats.
+func (s *shardSession) backend(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
+	if s.d == nil {
+		assign, _ := netga.SplitProcs(grid.NumProcs(), len(s.addrs))
+		cfg := netga.Config{Array: 0, Session: s.id, RPC: s.rpc, Fault: s.inj}
+		d, err := netga.Dial(grid, stats, s.addrs, assign, cfg)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		gaF, err := netga.DialFleet(grid, stats, fleetAddr, netga.Config{
-			Array: 1, Session: session, RPC: rpc, Router: router,
-		})
+		cfg.Array = 1
+		f, err := netga.Dial(grid, stats, s.addrs, assign, cfg)
 		if err != nil {
-			gaD.Close()
+			d.Close()
 			return nil, nil, nil, err
 		}
-		startGen := gaD.PlacementGen()
-		cleanup := func() {
-			// One generation is published per migrated block, so the delta
-			// is the number of cutovers this build routed across.
-			if end := gaD.PlacementGen(); end > startGen {
-				rpc.AddBlocksMigrated(int64(end - startGen))
-			}
-			gaD.Close()
-			gaF.Close()
+		s.d, s.f = d, f
+	}
+	return s.d, s.f, nil, nil
+}
+
+// dialBlobs opens the session's blob client for the stored-ERI spill
+// legs (driver-side: not accounted, not fault-injected).
+func (s *shardSession) dialBlobs(grid *dist.Grid2D) (*netga.Client, error) {
+	assign, _ := netga.SplitProcs(grid.NumProcs(), len(s.addrs))
+	bc, err := netga.Dial(grid, nil, s.addrs, assign, netga.Config{Array: 0, Session: s.id, RPC: s.rpc})
+	s.blobs = bc
+	return bc, err
+}
+
+func (s *shardSession) clients() []*netga.Client {
+	var out []*netga.Client
+	for _, c := range []*netga.Client{s.d, s.f, s.blobs} {
+		if c != nil {
+			out = append(out, c)
 		}
-		return gaD, gaF, cleanup, nil
+	}
+	return out
+}
+
+// lost reports whether a shard restarted under the session and forgot it.
+func (s *shardSession) lost() bool {
+	for _, c := range s.clients() {
+		if c.SessionLost() {
+			return true
+		}
+	}
+	return false
+}
+
+// close releases the session's arrays and blobs on every shard (best
+// effort: a restarted shard has already forgotten them) and closes the
+// clients.
+func (s *shardSession) close() {
+	cs := s.clients()
+	if len(cs) > 0 {
+		cs[0].Bye()
+	}
+	for _, c := range cs {
+		c.Close()
 	}
 }
 
@@ -546,14 +531,6 @@ func reportRPC(rpc *metrics.RPC) {
 	if s.DeadlineExceeded > 0 || s.PeerResets > 0 {
 		fmt.Printf("  failure classes:     %d deadline exceeded, %d peer resets\n",
 			s.DeadlineExceeded, s.PeerResets)
-	}
-	if s.Failovers > 0 || s.StaleRetries > 0 {
-		fmt.Printf("  failover:            %d promotions, %d stale-epoch retries\n",
-			s.Failovers, s.StaleRetries)
-	}
-	if s.PlacementRetries > 0 || s.ViewRefreshes > 0 || s.BlocksMigrated > 0 {
-		fmt.Printf("  elastic fleet:       %d map-generation retries, %d view refreshes, %d blocks migrated\n",
-			s.PlacementRetries, s.ViewRefreshes, s.BlocksMigrated)
 	}
 	if s.LatencyNS.Count > 0 {
 		fmt.Printf("  latency:             mean %.1fus, p95 %.1fus, max %.1fus\n",

@@ -8,18 +8,18 @@
 // resident-memory budget is exceeded, tenants get weighted fair shares
 // of the executor, every job can carry a deadline, and under pressure
 // the lowest-priority work is shed or checkpoint-parked first
-// (DESIGN.md §12).
+// (DESIGN.md §11).
 //
 //	hfd -listen 127.0.0.1:8680 -shards 2 -capacity 2 -max-queue 8
 //	curl -d '{"molecule":"CH4","basis":"sto-3g"}' http://127.0.0.1:8680/v1/jobs
 //	curl http://127.0.0.1:8680/v1/jobs/j-000001/events   # NDJSON stream
 //
 // -shards N starts an embedded in-process shard fleet; -shard-addrs
-// points at externally launched `fockd -multi` shards instead. SIGTERM
+// points at externally launched `fockd` shards instead. SIGTERM
 // and SIGINT drain gracefully: admission stops, running jobs checkpoint
 // and park, then the daemon exits.
 //
-// HA mode (DESIGN.md §13): N hfd peers share one job registry and one
+// HA mode (DESIGN.md §12): N hfd peers share one job registry and one
 // shard fleet. One peer hosts the registry with -registry-listen (add
 // -registry-dir for crash-durable state); the others point at it with
 // -registry. Each peer executes only under a heartbeat-refreshed,
@@ -60,7 +60,7 @@ func main() {
 		ackAddr = flag.String("http", "", "optional /debug/vars address")
 
 		shards        = flag.Int("shards", 2, "embedded multi-session shard servers to start (ignored with -shard-addrs)")
-		shardAddrs    = flag.String("shard-addrs", "", "comma-separated external fockd -multi shard addresses")
+		shardAddrs    = flag.String("shard-addrs", "", "comma-separated external fockd shard addresses")
 		shardSessions = flag.Int("shard-sessions", 256, "per-shard session table cap (embedded shards)")
 		shardMemMB    = flag.Int64("shard-mem-mb", 512, "per-shard resident memory budget in MiB (embedded shards, 0 = unlimited)")
 

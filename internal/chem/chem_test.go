@@ -353,3 +353,35 @@ func TestHydrogenDirectionsTetrahedral(t *testing.T) {
 		}
 	}
 }
+
+// Specs arrive from network clients: malformed or non-positive sizes
+// must come back as errors, not panics.
+func TestParseSpec(t *testing.T) {
+	for _, tc := range []struct {
+		spec  string
+		atoms int // 0 = want an error
+	}{
+		{"alkane:1", 5},
+		{"alkane:3", 11},
+		{"flake:1", 12},
+		{"CH4", 5},
+		{"alkane:0", 0},
+		{"alkane:-1", 0},
+		{"flake:0", 0},
+		{"flake:-2", 0},
+		{"alkane:", 0},
+		{"flake:x", 0},
+		{"nope", 0},
+	} {
+		m, err := ParseSpec(tc.spec)
+		if tc.atoms == 0 {
+			if err == nil {
+				t.Errorf("ParseSpec(%q) accepted, want an error", tc.spec)
+			}
+			continue
+		}
+		if err != nil || m.NumAtoms() != tc.atoms {
+			t.Errorf("ParseSpec(%q) = %v atoms, err %v; want %d atoms", tc.spec, m, err, tc.atoms)
+		}
+	}
+}

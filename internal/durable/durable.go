@@ -1,6 +1,6 @@
 // Package durable holds the crash-safe storage primitives every durable
-// component shares: a crc-framed append-only log (the shard journal, the
-// job registry's WAL) and an atomic whole-file replace (snapshots, SCF
+// component shares: a crc-framed append-only log (the job registry's
+// WAL) and an atomic whole-file replace (registry snapshots, SCF
 // checkpoints). Record and file encodings stay with their owners; this
 // package owns only the framing, the fsyncs and the torn-tail rules.
 package durable

@@ -9,7 +9,7 @@ import (
 // either operation-count based (kill once the server has handled at
 // least AfterOps requests — the deterministic way to land "mid-build")
 // or wall-clock based. Restart is the delay before the same slot is
-// brought back; negative means never (a standby must take over).
+// brought back; negative means never (the slot stays dead).
 type ServerKill struct {
 	Server   int           // server slot index
 	AfterOps int64         // op-count trigger; 0 = use After instead

@@ -31,7 +31,7 @@ var publishedFuncs sync.Map // expvar name -> *atomic.Value holding func() any
 // PublishFunc exposes fn as the expvar name (on /debug/vars). Safe to
 // call repeatedly — expvar allows each name only once per process, so
 // later calls swap which function the variable reads. Used to export
-// shard, fleet-membership and placement state alongside fock_metrics.
+// shard and service state alongside fock_metrics.
 func PublishFunc(name string, fn func() any) {
 	holder, loaded := publishedFuncs.LoadOrStore(name, &atomic.Value{})
 	h := holder.(*atomic.Value)

@@ -357,10 +357,6 @@ type RPC struct {
 	dials, reconnects        atomic.Int64
 	resets, dupSends         atomic.Int64
 	partitioned              atomic.Int64
-	failovers, staleRetries  atomic.Int64
-	placementRetries         atomic.Int64
-	viewRefreshes            atomic.Int64
-	blocksMigrated           atomic.Int64
 
 	// Failure-cause split: a deadline that expired (overload — the peer
 	// is slow or we are) versus a connection the peer tore down (faults,
@@ -450,64 +446,17 @@ func (c *RPC) AddPeerReset() {
 	}
 }
 
-// AddFailover counts one completed shard failover (standby promoted and
-// routing swapped).
-func (c *RPC) AddFailover() {
-	if c != nil {
-		c.failovers.Add(1)
-	}
-}
-
-// AddStaleRetry counts one statusRetry answer (standby not yet promoted,
-// or a stale shard epoch) that forced an epoch resync and retry.
-func (c *RPC) AddStaleRetry() {
-	if c != nil {
-		c.staleRetries.Add(1)
-	}
-}
-
-// AddPlacementRetry counts one request refused under a superseded
-// placement generation (the block moved; the client re-resolved its
-// route from a newer map and retried).
-func (c *RPC) AddPlacementRetry() {
-	if c != nil {
-		c.placementRetries.Add(1)
-	}
-}
-
-// AddViewRefresh counts one successful fleet-view fetch.
-func (c *RPC) AddViewRefresh() {
-	if c != nil {
-		c.viewRefreshes.Add(1)
-	}
-}
-
-// AddBlocksMigrated counts blocks observed moving to a new owner (from
-// the driver's perspective: placement-generation bumps it routed across).
-func (c *RPC) AddBlocksMigrated(n int64) {
-	if c != nil && n > 0 {
-		c.blocksMigrated.Add(n)
-	}
-}
-
 // RPCSnapshot is the JSON-facing view of the transport counters.
 type RPCSnapshot struct {
-	LatencyNS    HistSnapshot `json:"latency_ns"`
-	Calls        int64        `json:"calls"`
-	Retries      int64        `json:"retries,omitempty"`
-	Failures     int64        `json:"failures,omitempty"`
-	Dials        int64        `json:"dials"`
-	Reconnects   int64        `json:"reconnects,omitempty"`
-	Resets       int64        `json:"resets,omitempty"`
-	DupSends     int64        `json:"dup_sends,omitempty"`
-	Partitioned  int64        `json:"partitioned,omitempty"`
-	Failovers    int64        `json:"failovers,omitempty"`
-	StaleRetries int64        `json:"stale_retries,omitempty"`
-	// Elastic-fleet counters: requests bounced by a superseded placement
-	// map, fleet-view fetches, and blocks seen migrating to new owners.
-	PlacementRetries int64 `json:"placement_retries,omitempty"`
-	ViewRefreshes    int64 `json:"view_refreshes,omitempty"`
-	BlocksMigrated   int64 `json:"blocks_migrated,omitempty"`
+	LatencyNS   HistSnapshot `json:"latency_ns"`
+	Calls       int64        `json:"calls"`
+	Retries     int64        `json:"retries,omitempty"`
+	Failures    int64        `json:"failures,omitempty"`
+	Dials       int64        `json:"dials"`
+	Reconnects  int64        `json:"reconnects,omitempty"`
+	Resets      int64        `json:"resets,omitempty"`
+	DupSends    int64        `json:"dup_sends,omitempty"`
+	Partitioned int64        `json:"partitioned,omitempty"`
 	// Failure-cause split: expired deadlines (overload) vs peer-torn
 	// connections (faults/restarts).
 	DeadlineExceeded int64 `json:"deadline_exceeded,omitempty"`
@@ -529,11 +478,6 @@ func (c *RPC) Snapshot() RPCSnapshot {
 		Resets:           c.resets.Load(),
 		DupSends:         c.dupSends.Load(),
 		Partitioned:      c.partitioned.Load(),
-		Failovers:        c.failovers.Load(),
-		StaleRetries:     c.staleRetries.Load(),
-		PlacementRetries: c.placementRetries.Load(),
-		ViewRefreshes:    c.viewRefreshes.Load(),
-		BlocksMigrated:   c.blocksMigrated.Load(),
 		DeadlineExceeded: c.deadlineExceeded.Load(),
 		PeerResets:       c.peerResets.Load(),
 	}

@@ -3,7 +3,7 @@ package metrics
 import "sync/atomic"
 
 // Serve collects the HF service's admission, queueing and shedding
-// counters (DESIGN.md §12). All methods are safe for concurrent use and
+// counters (DESIGN.md §11). All methods are safe for concurrent use and
 // nil-safe, mirroring RPC, so instrumented code never branches on
 // whether metrics are wired.
 type Serve struct {
@@ -25,7 +25,7 @@ type Serve struct {
 	failed    atomic.Int64
 	canceled  atomic.Int64 // deadline-exceeded or client-canceled jobs
 
-	// HA service-tier counters (DESIGN.md §13): jobs this peer adopted
+	// HA service-tier counters (DESIGN.md §12): jobs this peer adopted
 	// from a crashed owner, job-ownership leases the registry expired,
 	// and status/event queries answered with a 307 to the owning peer.
 	adopted        atomic.Int64

@@ -60,30 +60,33 @@ func TestBlobRoundTripAndMiss(t *testing.T) {
 		t.Fatalf("re-put overwrote blob: %v %v", got, err)
 	}
 
-	var stored, hits, misses int64
-	for _, s := range servers {
-		st := s.Stats()
-		stored += st.BlobsStored
-		hits += st.BlobHits
-		misses += st.BlobMisses
+	// Blob bytes are charged to the servers' memory accounting on top of
+	// the session's arrays, exactly once per stored key.
+	var want, blobBytes int64
+	for _, v := range blobs {
+		want += int64(8 * len(v))
 	}
-	if stored != int64(len(blobs)) || hits == 0 || misses == 0 {
-		t.Fatalf("server blob stats: stored=%d hits=%d misses=%d", stored, hits, misses)
-	}
-	// Keys route across procs, so with 4 procs on 2 servers both must
-	// hold something.
+	arrays := int64(numArrays * 8 * 8 * 8)
 	for k, s := range servers {
-		if s.Stats().BlobsStored == 0 {
+		held := s.Stats().MemUsed - arrays
+		// Keys route across procs, so with 4 procs on 2 servers both
+		// must hold something.
+		if held <= 0 {
 			t.Fatalf("server %d holds no blobs: routing is not spreading keys", k)
 		}
+		blobBytes += held
+	}
+	if blobBytes != want {
+		t.Fatalf("servers hold %d blob bytes, want %d", blobBytes, want)
 	}
 }
 
-// Blobs are session-scoped cache state: installing a fresh session
-// clears them, so a new run never replays a previous run's integrals.
+// Blobs are session-scoped cache state: a fresh session does not see
+// them, so a new run never replays a previous run's integrals, and Bye
+// returns their bytes to the server's budget.
 func TestBlobsClearedOnNewSession(t *testing.T) {
 	grid := dist.UniformGrid2D(1, 2, 4, 4)
-	addrs, assign, _ := startCluster(t, grid, 1)
+	addrs, assign, servers := startCluster(t, grid, 1)
 	c1, err := Dial(grid, dist.NewRunStats(2), addrs, assign, Config{Array: 0, Session: 1})
 	if err != nil {
 		t.Fatalf("dial session 1: %v", err)
@@ -94,7 +97,17 @@ func TestBlobsClearedOnNewSession(t *testing.T) {
 	if _, err := c1.GetBlob(5, nil); err != nil {
 		t.Fatalf("get in same session: %v", err)
 	}
+	arrays := int64(numArrays * 4 * 4 * 8)
+	if got := servers[0].Stats().MemUsed; got != arrays+3*8 {
+		t.Fatalf("mem used %d with one blob, want %d", got, arrays+3*8)
+	}
+	if err := c1.Bye(); err != nil {
+		t.Fatalf("bye: %v", err)
+	}
 	c1.Close()
+	if got := servers[0].Stats().MemUsed; got != 0 {
+		t.Fatalf("mem used %d after bye, want 0", got)
+	}
 
 	c2, err := Dial(grid, dist.NewRunStats(2), addrs, assign, Config{Array: 0, Session: 2})
 	if err != nil {
@@ -102,6 +115,6 @@ func TestBlobsClearedOnNewSession(t *testing.T) {
 	}
 	defer c2.Close()
 	if _, err := c2.GetBlob(5, nil); err == nil {
-		t.Fatal("blob survived a session reset")
+		t.Fatal("a fresh session sees another session's blob")
 	}
 }

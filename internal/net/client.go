@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -50,9 +51,9 @@ type Config struct {
 	// Array selects which server-side array this client addresses
 	// (0 = D, 1 = F).
 	Array uint8
-	// Session identifies one build. A session id the servers have not
-	// seen resets their arrays and dedup state; reusing it across
-	// reconnects resumes without a reset. Must be nonzero.
+	// Session identifies one build (or one job attempt). A session id
+	// the servers have not seen starts from zeroed arrays and an empty
+	// dedup table; reusing it across reconnects resumes. Must be nonzero.
 	Session uint64
 	// OpTimeout is the socket deadline of one RPC attempt (default 2s).
 	OpTimeout time.Duration
@@ -63,16 +64,11 @@ type Config struct {
 	// delivery, slow link, partition windows) at this conn layer, keyed
 	// by the issuing rank. Driver-side ops (proc -1) are never faulted.
 	Fault *fault.Injector
-	// Router, when non-nil, is the shared failover routing state (one per
-	// driver process, shared by the D and F clients so a promotion reroutes
-	// both). Nil builds a private router with no standbys: plain routing,
-	// no failover.
-	Router *Router
 }
 
 // Client is the TCP implementation of dist.Backend: every one-sided op
-// becomes framed RPCs to the shard servers hosting the touched blocks,
-// with per-op deadlines, capped jittered retry, idempotency tokens on
+// becomes framed RPCs to the shard server hosting the touched block, with
+// per-op deadlines, capped jittered retry, idempotency tokens on
 // accumulates, and automatic reconnection. Epoch fencing is enforced
 // here, client-side, where the lease ledger lives.
 type Client struct {
@@ -81,26 +77,18 @@ type Client struct {
 	assign []int
 	pools  []*connPool
 	cfg    Config
-	router *Router
 	fence  dist.Fence
 	reqID  atomic.Uint64
 	token  atomic.Uint64
-
-	// Elastic mode (DialFleet): routes resolve per attempt through the
-	// fleet view instead of the fixed assignment, pools are allocated per
-	// router slot as members appear, and every member is helloed once
-	// (session + geometry validation) before its first data op.
-	elastic bool
-	poolsMu sync.Mutex
-	helloed map[int]bool // slot -> hello done
+	lost   atomic.Bool // a server answered "unknown session"
 }
 
 var _ dist.Backend = (*Client)(nil)
 
-// Dial connects to the shard servers and validates session + geometry
-// with a Hello on each. assign[p] is the index in addrs of the server
-// hosting proc p (see SplitProcs); stats may be nil for a driver-only
-// client.
+// Dial connects to the shard servers and installs (or validates) the
+// session with a Hello on each, carrying the grid layout. assign[p] is
+// the index in addrs of the server hosting proc p (see SplitProcs);
+// stats may be nil for a driver-only client.
 func Dial(grid *dist.Grid2D, stats *dist.RunStats, addrs []string, assign []int, cfg Config) (*Client, error) {
 	if len(assign) != grid.NumProcs() {
 		return nil, fmt.Errorf("netga: assignment covers %d procs, grid has %d", len(assign), grid.NumProcs())
@@ -116,23 +104,15 @@ func Dial(grid *dist.Grid2D, stats *dist.RunStats, addrs []string, assign []int,
 	if cfg.OpTimeout <= 0 {
 		cfg.OpTimeout = 2 * time.Second
 	}
-	rt := cfg.Router
-	if rt == nil {
-		rt = NewRouter(addrs, nil, cfg.OpTimeout, cfg.RPC)
-	}
-	if rt.Slots() != len(addrs) {
-		return nil, fmt.Errorf("netga: router routes %d slots, %d servers given", rt.Slots(), len(addrs))
-	}
 	c := &Client{
 		grid:   grid,
 		stats:  stats,
 		assign: append([]int(nil), assign...),
 		pools:  make([]*connPool, len(addrs)),
 		cfg:    cfg,
-		router: rt,
 	}
-	for i := range addrs {
-		c.pools[i] = &connPool{router: rt, slot: i, timeout: cfg.OpTimeout, rpc: cfg.RPC}
+	for i, addr := range addrs {
+		c.pools[i] = &connPool{addr: addr, timeout: cfg.OpTimeout, rpc: cfg.RPC}
 	}
 	for _, pool := range c.pools {
 		hello := request{
@@ -142,7 +122,7 @@ func Dial(grid *dist.Grid2D, stats *dist.RunStats, addrs []string, assign []int,
 		}
 		resp, _, err := c.doRPC(-1, pool, &hello)
 		if err == nil && resp.Status != statusOK {
-			err = fmt.Errorf("netga: hello rejected by %s: %s", rt.addr(pool.slot), resp.Msg)
+			err = fmt.Errorf("netga: hello rejected by %s: %s", pool.addr, resp.Msg)
 		}
 		if err != nil {
 			c.Close()
@@ -152,142 +132,26 @@ func Dial(grid *dist.Grid2D, stats *dist.RunStats, addrs []string, assign []int,
 	return c, nil
 }
 
-// fleetDialWait bounds how long DialFleet waits for the fleet view to
-// cover every block (bootstrap migration may still be in flight).
-const fleetDialWait = 30 * time.Second
-
-// DialFleet connects to an elastic fleet: routing state comes from the
-// fleet coordinator at fleetAddr (via cfg.Router, which must be a fleet
-// router when provided) instead of a static address list. DialFleet
-// blocks until the published view assigns every block, then validates
-// session + geometry against every member; members that join later are
-// helloed lazily on first route.
-func DialFleet(grid *dist.Grid2D, stats *dist.RunStats, fleetAddr string, cfg Config) (*Client, error) {
-	if cfg.Session == 0 {
-		return nil, errors.New("netga: session id must be nonzero")
-	}
-	if cfg.OpTimeout <= 0 {
-		cfg.OpTimeout = 2 * time.Second
-	}
-	rt := cfg.Router
-	if rt == nil {
-		rt = NewFleetRouter(fleetAddr, cfg.OpTimeout, cfg.RPC)
-	}
-	if !rt.elastic() {
-		return nil, errors.New("netga: DialFleet requires a fleet router")
-	}
-	c := &Client{
-		grid:    grid,
-		stats:   stats,
-		cfg:     cfg,
-		router:  rt,
-		elastic: true,
-		helloed: map[int]bool{},
-	}
-	deadline := time.Now().Add(fleetDialWait)
-	var lastErr error
-	for {
-		rt.refreshView(true)
-		lastErr = nil
-		for p := 0; p < grid.NumProcs(); p++ {
-			if _, err := c.routeFor(p); err != nil {
-				lastErr = err
-				break
-			}
-		}
-		if lastErr == nil {
-			return c, nil
-		}
-		if time.Now().After(deadline) {
-			c.Close()
-			return nil, fmt.Errorf("netga: fleet at %s not routable: %w", fleetAddr, lastErr)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// errNoRoute marks a transiently unroutable block: the view does not
-// assign it yet (bootstrap or a pinned dead member), or its owner has not
-// answered a hello. Retryable; never evidence a specific server is dead.
-var errNoRoute = errors.New("netga: block not routable yet")
-
-// routeFor resolves the pool serving proc's block. Static mode is the
-// fixed assignment; elastic mode resolves through the fleet view —
-// re-fetched (throttled) when the block is unassigned — and hellos the
-// member on first contact.
-func (c *Client) routeFor(proc int) (*connPool, error) {
-	if !c.elastic {
-		return c.pools[c.assign[proc]], nil
-	}
-	slot := c.router.slotFor(proc)
-	if slot < 0 {
-		c.router.RefreshView()
-		if slot = c.router.slotFor(proc); slot < 0 {
-			return nil, fmt.Errorf("%w: proc %d unassigned in current view", errNoRoute, proc)
-		}
-	}
-	pool := c.poolBySlot(slot)
-	if err := c.helloSlot(slot, pool); err != nil {
-		return nil, fmt.Errorf("%w: hello slot %d: %v", errNoRoute, slot, err)
-	}
-	return pool, nil
-}
-
-// poolBySlot returns (allocating if needed) the conn pool of a router
-// slot. Slots are append-only, so pools stay valid across churn.
-func (c *Client) poolBySlot(slot int) *connPool {
-	c.poolsMu.Lock()
-	defer c.poolsMu.Unlock()
-	for slot >= len(c.pools) {
-		c.pools = append(c.pools, &connPool{router: c.router, slot: len(c.pools), timeout: c.cfg.OpTimeout, rpc: c.cfg.RPC})
-	}
-	return c.pools[slot]
-}
-
-// helloSlot validates session + geometry against a member once. Hello is
-// idempotent under one session, so two goroutines racing here are
-// harmless; a member that joined mid-build adopts the session either
-// from migrated block state or from this hello, whichever lands first.
-// Failures are transient (errNoRoute): a dead unhelloed member is the
-// fleet detector's to fail over, not this client's.
-func (c *Client) helloSlot(slot int, pool *connPool) error {
-	c.poolsMu.Lock()
-	done := c.helloed[slot]
-	c.poolsMu.Unlock()
-	if done {
-		return nil
-	}
-	hello := request{
-		Op: opHello, Session: c.cfg.Session, ReqID: c.reqID.Add(1),
-		R0: int32(c.grid.Rows), C0: int32(c.grid.Cols),
-		Msg: layoutMsg(c.grid),
-	}
-	resp, _, err := c.doRPC(-1, pool, &hello)
-	if err != nil {
-		return err
-	}
-	if resp.Status != statusOK {
-		return fmt.Errorf("netga: hello rejected by %s: %s", c.router.addr(slot), resp.Msg)
-	}
-	c.poolsMu.Lock()
-	c.helloed[slot] = true
-	c.poolsMu.Unlock()
-	return nil
-}
-
-// PlacementGen returns the placement generation the client is routing
-// with (0 in static mode). The delta across a build counts the blocks
-// that migrated under it — each cutover bumps the generation once.
-func (c *Client) PlacementGen() uint64 { return c.router.pgen() }
-
 // Close tears down every pooled connection.
 func (c *Client) Close() {
-	c.poolsMu.Lock()
-	pools := append([]*connPool(nil), c.pools...)
-	c.poolsMu.Unlock()
-	for _, p := range pools {
+	for _, p := range c.pools {
 		p.closeAll()
 	}
+}
+
+// SessionLost reports whether a server has answered this client's
+// session with "unknown session": the shard restarted (or the session
+// was released) and its arrays are gone, so the build cannot complete
+// under this session. Callers retry under a fresh session.
+func (c *Client) SessionLost() bool { return c.lost.Load() }
+
+// rejected turns a server rejection into the caller's error, noting a
+// lost session on the way.
+func (c *Client) rejected(what string, resp *response) error {
+	if strings.HasPrefix(resp.Msg, unknownSessionMsg) {
+		c.lost.Store(true)
+	}
+	return fmt.Errorf("netga: %s rejected: %s", what, resp.Msg)
 }
 
 // Layout returns the grid the shard servers are laid out over.
@@ -320,50 +184,22 @@ func (c *Client) charge(proc, r0, r1, c0, c1 int) {
 	}
 }
 
-// connPool keeps idle conns to one shard slot. Any conn that sees an
+// connPool keeps idle conns to one shard server. Any conn that sees an
 // error is discarded, so an idle conn never has residue of a previous
-// RPC. The slot's address is re-resolved through the router on every
-// checkout AND checkin — under the pool lock, so two racing gets cannot
-// regress curAddr — and every conn remembers the address it was dialed
-// to, so a conn to a superseded primary checked out across a failover is
-// closed on return instead of re-entering the pool and being handed out
-// against the wrong server forever.
+// RPC.
 type connPool struct {
-	router  *Router
-	slot    int
+	addr    string
 	timeout time.Duration
 	rpc     *metrics.RPC
 
 	mu        sync.Mutex
-	curAddr   string
-	idle      []*pooledConn
+	idle      []net.Conn
 	discarded int64
 	closed    bool
 }
 
-// pooledConn ties a conn to the address it was dialed to.
-type pooledConn struct {
-	net.Conn
-	addr string
-}
-
-// syncAddrLocked refreshes curAddr from the router, draining idle conns
-// to a stale address. Caller holds p.mu.
-func (p *connPool) syncAddrLocked() string {
-	addr := p.router.addr(p.slot)
-	if addr != p.curAddr {
-		for _, c := range p.idle {
-			c.Close()
-		}
-		p.idle = nil
-		p.curAddr = addr
-	}
-	return addr
-}
-
-func (p *connPool) get() (*pooledConn, error) {
+func (p *connPool) get() (net.Conn, error) {
 	p.mu.Lock()
-	addr := p.syncAddrLocked()
 	if n := len(p.idle); n > 0 {
 		conn := p.idle[n-1]
 		p.idle = p.idle[:n-1]
@@ -372,7 +208,7 @@ func (p *connPool) get() (*pooledConn, error) {
 	}
 	redial := p.discarded > 0
 	p.mu.Unlock()
-	conn, err := net.DialTimeout("tcp", addr, p.timeout)
+	conn, err := net.DialTimeout("tcp", p.addr, p.timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -381,13 +217,12 @@ func (p *connPool) get() (*pooledConn, error) {
 	} else {
 		p.rpc.AddDial()
 	}
-	return &pooledConn{Conn: conn, addr: addr}, nil
+	return conn, nil
 }
 
-func (p *connPool) put(conn *pooledConn) {
+func (p *connPool) put(conn net.Conn) {
 	p.mu.Lock()
-	addr := p.syncAddrLocked()
-	if p.closed || conn.addr != addr {
+	if p.closed {
 		p.mu.Unlock()
 		conn.Close()
 		return
@@ -396,7 +231,7 @@ func (p *connPool) put(conn *pooledConn) {
 	p.mu.Unlock()
 }
 
-func (p *connPool) discard(conn *pooledConn) {
+func (p *connPool) discard(conn net.Conn) {
 	conn.Close()
 	p.mu.Lock()
 	p.discarded++
@@ -420,15 +255,6 @@ func (p *connPool) closeAll() {
 // server cannot have applied anything), while sent=true is ambiguous and
 // the caller must retry the same idempotency token to resolution.
 func (c *Client) doRPC(rank int, pool *connPool, req *request) (resp *response, sent bool, err error) {
-	// Stamp the shard fence epoch this client believes the slot is at; a
-	// server at a different epoch answers statusRetry instead of applying.
-	// Elastic requests also carry the placement generation routed under,
-	// so a server holding a newer map bounces them instead of serving a
-	// block that moved away.
-	req.SEpoch = c.router.epoch(pool.slot)
-	if c.elastic {
-		req.PGen = c.router.pgen()
-	}
 	sendTwice := false
 	if c.cfg.Fault != nil && rank >= 0 {
 		delay, outcome := c.cfg.Fault.NetFault(rank)
@@ -511,49 +337,7 @@ func (c *Client) doRPC(rank int, pool *connPool, req *request) (resp *response, 
 	}
 	conn.SetDeadline(time.Time{})
 	pool.put(conn)
-	c.router.observe(pool.slot, out.SEpoch)
-	if out.Status == statusRetry {
-		// Transient shard rejection (standby not promoted, or our epoch is
-		// stale — the observe above already resynced it): retryable, and
-		// provably not applied. A server answering from a newer placement
-		// generation means our route is superseded — refresh the view
-		// (throttled: a whole retry storm collapses to one fetch) so the
-		// retry resolves against the new map.
-		c.cfg.RPC.AddStaleRetry()
-		if c.elastic {
-			if out.PGen > req.PGen {
-				c.cfg.RPC.AddPlacementRetry()
-			}
-			c.router.RefreshView()
-		}
-		return nil, true, fmt.Errorf("%w: %s", errShardRetry, out.Msg)
-	}
-	c.router.success(pool.slot)
 	return &out, true, nil
-}
-
-// errShardRetry marks a statusRetry answer: the server is alive but not
-// serving this request right now. Retry, but never count it toward the
-// failover threshold.
-var errShardRetry = errors.New("netga: transient shard rejection")
-
-// noteFailure counts a transport failure against the slot and, past the
-// consecutive-failure threshold, attempts a standby promotion. Injected
-// partition fail-fasts and statusRetry resyncs are not evidence of a dead
-// server and never trigger failover.
-func (c *Client) noteFailure(pool *connPool, err error) {
-	if err == nil || errors.Is(err, ErrPartitioned) || errors.Is(err, errShardRetry) {
-		return
-	}
-	classifyFailure(c.cfg.RPC, err)
-	if !c.router.failure(pool.slot) {
-		return
-	}
-	if ferr := c.router.Failover(pool.slot); ferr == nil {
-		if c.stats != nil {
-			atomic.AddInt64(&c.stats.Recovery.Failovers, 1)
-		}
-	}
 }
 
 // growWait doubles a backoff up to the shared 1s cap (dist.SleepBackoff
@@ -594,24 +378,17 @@ func (c *Client) GetRetry(ctx context.Context, attempts int, backoff time.Durati
 				}
 				wait = growWait(wait)
 			}
-			// Route per attempt: under elastic placement the block's owner
-			// can change between retries (that is the point of the retry).
-			pool, rerr := c.routeFor(p.Proc)
-			if rerr != nil {
-				err = rerr
-				continue
-			}
 			req.ReqID = c.reqID.Add(1)
 			var resp *response
-			resp, _, err = c.doRPC(proc, pool, &req)
+			resp, _, err = c.doRPC(proc, c.pools[c.assign[p.Proc]], &req)
 			if err != nil {
-				c.noteFailure(pool, err)
+				classifyFailure(c.cfg.RPC, err)
 			}
 			if err == nil && resp.Status != statusOK {
 				// A server rejection is deterministic; retrying cannot help.
 				c.cfg.RPC.AddFailure()
 				c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-				return retries, fmt.Errorf("netga: get rejected: %s", resp.Msg)
+				return retries, c.rejected("get", resp)
 			}
 			if err == nil {
 				w := p.C1 - p.C0
@@ -670,27 +447,18 @@ func (c *Client) AccFencedRetry(ctx context.Context, backoff time.Duration, proc
 			if !committed && c.fence != nil && !c.fence.ValidEpoch(proc, epoch) {
 				return retries, dist.ErrFenced
 			}
-			var resp *response
-			var sent bool
-			var err error
-			if pool, rerr := c.routeFor(p.Proc); rerr != nil {
-				// Transiently unroutable (block mid-migration, view catching
-				// up): no frame went out, so this retry is provably clean.
-				err = rerr
-			} else {
-				req.ReqID = c.reqID.Add(1)
-				resp, sent, err = c.doRPC(proc, pool, &req)
-				if sent {
-					committed = true
-				}
-				if err != nil {
-					c.noteFailure(pool, err)
-				}
+			req.ReqID = c.reqID.Add(1)
+			resp, sent, err := c.doRPC(proc, c.pools[c.assign[p.Proc]], &req)
+			if sent {
+				committed = true
+			}
+			if err != nil {
+				classifyFailure(c.cfg.RPC, err)
 			}
 			if err == nil && resp.Status != statusOK {
 				c.cfg.RPC.AddFailure()
 				c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-				return retries, fmt.Errorf("netga: acc rejected: %s", resp.Msg)
+				return retries, c.rejected("acc", resp)
 			}
 			if err == nil {
 				c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
@@ -739,104 +507,60 @@ func (c *Client) Acc(proc, r0, r1, c0, c1 int, src []float64, ld int, alpha floa
 	}
 }
 
+// driverAttempts bounds the driver-side ops' retries of transport
+// errors; the backoff doubles from 5ms up to the shared 1s cap.
+const driverAttempts = 10
+
 // driverOp runs one un-faulted, un-accounted RPC for the driver-side
-// whole-matrix ops, retrying transport errors a few times.
+// ops (whole-matrix load/gather, checkpoint, bye, blobs), retrying
+// transport errors.
 func (c *Client) driverOp(pool *connPool, req *request) (*response, error) {
 	var err error
-	for a := 0; a < 10; a++ {
+	wait := 5 * time.Millisecond
+	for a := 0; a < driverAttempts; a++ {
 		if a > 0 {
-			if cerr := dist.SleepBackoff(context.Background(), 5*time.Millisecond<<uint(a-1)); cerr != nil {
-				return nil, cerr
-			}
-		}
-		req.ReqID = c.reqID.Add(1)
-		var resp *response
-		resp, _, err = c.doRPC(-1, pool, req)
-		if err != nil {
-			c.noteFailure(pool, err)
-		}
-		if err == nil && resp.Status != statusOK {
-			return nil, fmt.Errorf("netga: %s", resp.Msg)
-		}
-		if err == nil {
-			return resp, nil
-		}
-	}
-	return nil, err
-}
-
-// driverOpProc is driverOp with per-attempt route resolution: the
-// driver-side whole-matrix ops address blocks, and under elastic
-// placement a block's owner can change (or be briefly frozen) between
-// attempts.
-func (c *Client) driverOpProc(proc int, req *request) (*response, error) {
-	var err error
-	for a := 0; a < 14; a++ {
-		if a > 0 {
-			wait := 5 * time.Millisecond << uint(a-1)
-			if wait > time.Second {
-				wait = time.Second
-			}
 			if cerr := dist.SleepBackoff(context.Background(), wait); cerr != nil {
 				return nil, cerr
 			}
-		}
-		pool, rerr := c.routeFor(proc)
-		if rerr != nil {
-			err = rerr
-			continue
+			wait = growWait(wait)
 		}
 		req.ReqID = c.reqID.Add(1)
 		var resp *response
 		resp, _, err = c.doRPC(-1, pool, req)
 		if err != nil {
-			c.noteFailure(pool, err)
+			classifyFailure(c.cfg.RPC, err)
 			continue
 		}
 		if resp.Status != statusOK {
-			return nil, fmt.Errorf("netga: %s", resp.Msg)
+			return nil, c.rejected("driver op", resp)
 		}
 		return resp, nil
 	}
 	return nil, err
 }
 
+// driverOpProc is driverOp against the server hosting proc's block.
+func (c *Client) driverOpProc(proc int, req *request) (*response, error) {
+	return c.driverOp(c.pools[c.assign[proc]], req)
+}
+
 // Checkpoint advances the dedup-eviction generation on every shard: the
 // driver calls it at a session checkpoint (an SCF iteration boundary),
 // when no accumulate can still be retrying, so tokens are only ever
-// evicted a full generation after their op completed. Elastic mode
-// checkpoints every member currently hosting a block — migrated tokens
-// travel with their blocks, so those members hold all live tokens.
+// evicted a full generation after their op completed.
 func (c *Client) Checkpoint() error {
 	req := request{Op: opCheckpoint, Session: c.cfg.Session, Proc: -1}
-	if !c.elastic {
-		for _, pool := range c.pools {
-			if _, err := c.driverOp(pool, &req); err != nil {
-				return fmt.Errorf("netga: checkpoint: %w", err)
-			}
-		}
-		return nil
-	}
-	done := map[*connPool]bool{}
-	for p := 0; p < c.grid.NumProcs(); p++ {
-		pool, err := c.routeFor(p)
-		if err == nil && done[pool] {
-			continue
-		}
-		if _, err := c.driverOpProc(p, &req); err != nil {
+	for _, pool := range c.pools {
+		if _, err := c.driverOp(pool, &req); err != nil {
 			return fmt.Errorf("netga: checkpoint: %w", err)
-		}
-		if pool != nil {
-			done[pool] = true
 		}
 	}
 	return nil
 }
 
-// Bye releases this client's session on every shard (multi-session
-// servers free the session's arrays and dedup state; single-session
-// servers reject the op, which is harmless). Callers invoke it once per
-// job, after the last build of the session, before Close.
+// Bye releases this client's session on every shard, freeing its
+// arrays, dedup state and blobs. Callers invoke it once per session,
+// after its last build, before Close.
 func (c *Client) Bye() error {
 	req := request{Op: opBye, Session: c.cfg.Session, Proc: -1}
 	var firstErr error
@@ -856,8 +580,8 @@ func (c *Client) blobProc(key uint64) int {
 
 // PutBlob implements the integrals.BlobStore spill surface over the
 // shard fleet: the blob lands on the shard hosting proc key%nprocs, so
-// stored-ERI spill capacity scales with members. Driver-path semantics
-// (bounded retries, per-attempt routing, not fault-injected): blob ops
+// stored-ERI spill capacity scales with servers. Driver-path semantics
+// (bounded retries, not fault-injected): blob ops
 // are cache maintenance, not part of the exactly-once commit protocol —
 // a final failure makes the store drop the entry and recompute.
 func (c *Client) PutBlob(key uint64, vals []float64) error {

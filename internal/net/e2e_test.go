@@ -38,28 +38,18 @@ func netSetup(t *testing.T) (*basis.Set, *screen.Screening, *linalg.Matrix) {
 	return bs, scr, d
 }
 
-// netBackend returns a core.Options.Backend factory that brings up
-// nservers loopback shard servers for the build's grid and dials the D
-// and F clients, plus an escape hatch to read the server stats after the
-// build.
+// netBackend brings up nservers loopback shard servers and returns a
+// core.Options.Backend factory that dials the D and F clients of one
+// session on them, plus an escape hatch to read the server stats after
+// the build.
 func netBackend(t *testing.T, nservers int, session uint64, inj *fault.Injector, rpc *metrics.RPC) (
 	factory func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error),
-	serverStats func() netga.ServerStats,
+	serverStats func() netga.MultiServerStats,
 ) {
 	t.Helper()
-	var servers []*netga.Server
+	servers, addrs := startShards(t, nservers)
 	factory = func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-		assign, hosted := netga.SplitProcs(grid.NumProcs(), nservers)
-		addrs := make([]string, nservers)
-		for k := 0; k < nservers; k++ {
-			srv := netga.NewServer(grid, hosted[k])
-			addr, err := srv.Start("127.0.0.1:0")
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			servers = append(servers, srv)
-			addrs[k] = addr
-		}
+		assign, _ := netga.SplitProcs(grid.NumProcs(), nservers)
 		gaD, err := netga.Dial(grid, stats, addrs, assign, netga.Config{
 			Array: 0, Session: session, RPC: rpc, Fault: inj,
 		})
@@ -77,27 +67,42 @@ func netBackend(t *testing.T, nservers int, session uint64, inj *fault.Injector,
 			gaD.Close()
 			gaF.Close()
 			// Servers stay up so the test can read their stats; closed
-			// via t.Cleanup below.
+			// at test cleanup.
 		}
 		return gaD, gaF, cleanup, nil
 	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	})
-	serverStats = func() (sum netga.ServerStats) {
+	serverStats = func() (sum netga.MultiServerStats) {
 		for _, s := range servers {
 			st := s.Stats()
 			sum.Requests += st.Requests
 			sum.AccApplied += st.AccApplied
 			sum.AccDups += st.AccDups
-			sum.Sessions += st.Sessions
+			sum.SessionsOpened += st.SessionsOpened
 			sum.Rejects += st.Rejects
 		}
 		return sum
 	}
 	return factory, serverStats
+}
+
+// startShards starts n loopback shard servers, closed at test cleanup.
+func startShards(t *testing.T, n int) ([]*netga.MultiServer, []string) {
+	t.Helper()
+	servers := make([]*netga.MultiServer, n)
+	addrs := make([]string, n)
+	for k := range servers {
+		srv, err := netga.NewMultiServer(n, k, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("start server %d: %v", k, err)
+		}
+		t.Cleanup(srv.Close)
+		servers[k], addrs[k] = srv, addr
+	}
+	return servers, addrs
 }
 
 func buildDeadline(t *testing.T, timeout time.Duration, f func() core.Result) core.Result {

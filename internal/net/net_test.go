@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,11 +18,10 @@ import (
 
 func TestProtoRoundTrip(t *testing.T) {
 	req := request{
-		Op: opAcc, Array: 1, Session: 7, ReqID: 42, Token: 99, Epoch: 3, SEpoch: 6, PGen: 12,
+		Op: opAcc, Array: 1, Session: 7, ReqID: 42, Token: 99, Epoch: 3,
 		Proc: 2, R0: 1, R1: 4, C0: 0, C1: 2, Alpha: -0.5,
-		Msg:    "migrate session 7",
-		Tokens: []uint64{1, 1 << 56, 0xfeedface},
-		Data:   []float64{1.5, -2, 3.25, 0, 5, math.Pi},
+		Msg:  `{"prow":1}`,
+		Data: []float64{1.5, -2, 3.25, 0, 5, math.Pi},
 	}
 	var back request
 	if err := decodeRequest(encodeRequest(nil, &req), &back); err != nil {
@@ -30,8 +30,7 @@ func TestProtoRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(req, back) {
 		t.Fatalf("request round trip: got %+v, want %+v", back, req)
 	}
-	resp := response{Status: statusErr, Dup: 1, ReqID: 42, SEpoch: 6, PGen: 12, Msg: "boom",
-		Tokens: []uint64{3, 9}, Data: []float64{7, 8}}
+	resp := response{Status: statusErr, Dup: 1, ReqID: 42, Msg: "boom", Data: []float64{7, 8}}
 	var rback response
 	if err := decodeResponse(encodeResponse(nil, &resp), &rback); err != nil {
 		t.Fatalf("decode response: %v", err)
@@ -42,32 +41,15 @@ func TestProtoRoundTrip(t *testing.T) {
 	if err := decodeRequest([]byte{1, 2, 3}, &back); err == nil {
 		t.Fatal("short request frame must not decode")
 	}
-	var rreq request
-	seq, err := decodeRecord(encodeRecord(nil, 17, &req), &rreq)
-	if err != nil || seq != 17 {
-		t.Fatalf("record round trip: seq=%d err=%v", seq, err)
-	}
-	if !reflect.DeepEqual(req, rreq) {
-		t.Fatalf("record round trip: got %+v, want %+v", rreq, req)
-	}
 }
 
-// startCluster brings up nservers loopback shard servers over grid and
-// returns their addresses, the proc assignment, and a cleanup.
-func startCluster(t *testing.T, grid *dist.Grid2D, nservers int) ([]string, []int, []*Server) {
+// startCluster brings up nservers loopback shard servers and returns
+// their addresses, the proc assignment of grid over them, and the
+// servers (closed at test cleanup).
+func startCluster(t *testing.T, grid *dist.Grid2D, nservers int) ([]string, []int, []*MultiServer) {
 	t.Helper()
-	assign, hosted := SplitProcs(grid.NumProcs(), nservers)
-	addrs := make([]string, nservers)
-	servers := make([]*Server, nservers)
-	for k := 0; k < nservers; k++ {
-		servers[k] = NewServer(grid, hosted[k])
-		addr, err := servers[k].Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("start server %d: %v", k, err)
-		}
-		addrs[k] = addr
-		t.Cleanup(servers[k].Close)
-	}
+	assign, _ := SplitProcs(grid.NumProcs(), nservers)
+	addrs, servers := startMultiFleet(t, nservers, 0, 0)
 	return addrs, assign, servers
 }
 
@@ -286,8 +268,8 @@ func TestPartitionWindowFailsFastThenHeals(t *testing.T) {
 	}
 }
 
-// A new session id resets server arrays and dedup state; a geometry
-// mismatch is rejected at Hello.
+// A new session id starts from zeroed arrays, a released session is
+// rejected per request, and a geometry mismatch is rejected at Hello.
 func TestSessionResetAndGeometryCheck(t *testing.T) {
 	grid := dist.UniformGrid2D(1, 1, 4, 4)
 	addrs, assign, servers := startCluster(t, grid, 1)
@@ -300,9 +282,8 @@ func TestSessionResetAndGeometryCheck(t *testing.T) {
 		m.Data[i] = 9
 	}
 	c1.LoadMatrix(m)
-	c1.Close()
 
-	// New session: state reset to zero.
+	// New session: its own arrays, all zero.
 	c2, err := Dial(grid, nil, addrs, assign, Config{Array: 0, Session: 11})
 	if err != nil {
 		t.Fatalf("dial 2: %v", err)
@@ -311,24 +292,29 @@ func TestSessionResetAndGeometryCheck(t *testing.T) {
 	back := c2.ToMatrix()
 	for i, v := range back.Data {
 		if v != 0 {
-			t.Fatalf("element %d = %g after session reset, want 0", i, v)
+			t.Fatalf("element %d = %g in a fresh session, want 0", i, v)
 		}
 	}
-	if servers[0].Stats().Sessions != 2 {
-		t.Fatalf("sessions = %d, want 2", servers[0].Stats().Sessions)
+	if st := servers[0].Stats(); st.SessionsOpened != 2 {
+		t.Fatalf("sessions opened = %d, want 2", st.SessionsOpened)
 	}
 
-	// A stale-session client is rejected per-request (c1's session died).
-	req := request{Op: opGet, Session: 10, Proc: -1, R0: 0, R1: 1, C0: 0, C1: 1}
-	req.ReqID = c2.reqID.Add(1)
-	resp, _, err := c2.doRPC(-1, c2.pools[0], &req)
-	if err != nil || resp.Status != statusErr {
-		t.Fatalf("stale session request: err=%v resp=%+v, want statusErr", err, resp)
+	// A released session is rejected per request, and the client notes
+	// the loss.
+	if err := c1.Bye(); err != nil {
+		t.Fatalf("bye: %v", err)
 	}
+	if _, err := c1.ToMatrixErr(); err == nil || !strings.Contains(err.Error(), "unknown session") {
+		t.Fatalf("released session read: %v, want unknown session", err)
+	}
+	if !c1.SessionLost() || c2.SessionLost() {
+		t.Fatalf("SessionLost: released=%v live=%v, want true/false", c1.SessionLost(), c2.SessionLost())
+	}
+	c1.Close()
 
-	// Geometry mismatch is rejected at Dial time.
+	// Geometry mismatch against a live session is rejected at Dial time.
 	wrong := dist.UniformGrid2D(1, 1, 5, 5)
-	if _, err := Dial(wrong, nil, addrs, []int{0}, Config{Array: 0, Session: 12}); err == nil {
+	if _, err := Dial(wrong, nil, addrs, []int{0}, Config{Array: 0, Session: 11}); err == nil {
 		t.Fatal("geometry mismatch must fail Dial")
 	}
 }
@@ -337,7 +323,10 @@ func TestSessionResetAndGeometryCheck(t *testing.T) {
 // routing bugs instead of silently serving zeros.
 func TestUnhostedProcRejected(t *testing.T) {
 	grid := dist.UniformGrid2D(2, 1, 4, 4)
-	srv := NewServer(grid, []int{0}) // hosts proc 0 only
+	srv, err := NewMultiServer(2, 0, 0, 0) // shard 0 of 2: hosts proc 0 only
+	if err != nil {
+		t.Fatal(err)
+	}
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +339,78 @@ func TestUnhostedProcRejected(t *testing.T) {
 	}
 	defer c.Close()
 	dst := make([]float64, 8)
-	if _, err := c.GetRetry(context.Background(), 2, time.Millisecond, 0, 2, 4, 0, 4, dst, 4); err == nil {
-		t.Fatal("Get of an unhosted block must be rejected")
+	_, err = c.GetRetry(context.Background(), 2, time.Millisecond, 0, 2, 4, 0, 4, dst, 4)
+	if err == nil || !strings.Contains(err.Error(), "not hosted") {
+		t.Fatalf("Get of an unhosted block: %v, want a not-hosted rejection", err)
+	}
+}
+
+// rawAcc sends one Acc with an explicit idempotency token to cell (0,0).
+func rawAcc(t *testing.T, c *Client, token uint64, val float64) *response {
+	t.Helper()
+	req := request{
+		Op: opAcc, Array: c.cfg.Array, Session: c.cfg.Session, Token: token,
+		Alpha: 1, R0: 0, R1: 1, C0: 0, C1: 1, Data: []float64{val},
+	}
+	req.ReqID = c.reqID.Add(1)
+	resp, _, err := c.doRPC(-1, c.pools[0], &req)
+	if err != nil {
+		t.Fatalf("raw acc: %v", err)
+	}
+	if resp.Status != statusOK {
+		t.Fatalf("raw acc rejected: %s", resp.Msg)
+	}
+	return resp
+}
+
+// TestDedupEvictionAtCheckpointOnly is the bounded-dedup-table proof:
+// tokens are never evicted mid-epoch, survive one full checkpoint
+// generation (so any retry of an op that completed before the checkpoint
+// still dedups — no duplicate Acc can land), and are dropped after two.
+func TestDedupEvictionAtCheckpointOnly(t *testing.T) {
+	grid := dist.UniformGrid2D(1, 1, 4, 4)
+	addrs, assign, _ := startCluster(t, grid, 1)
+	c, err := Dial(grid, nil, addrs, assign, Config{Array: 1, Session: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if resp := rawAcc(t, c, 555, 3); resp.Dup != 0 {
+		t.Fatal("first delivery deduplicated")
+	}
+	for i := uint64(0); i < 50; i++ {
+		rawAcc(t, c, 1000+i, 1)
+	}
+	if resp := rawAcc(t, c, 555, 3); resp.Dup != 1 {
+		t.Fatal("retry deduplicated no longer mid-epoch (evicted without a checkpoint)")
+	}
+
+	// One checkpoint: 555 moves to the previous generation but is still
+	// held — the legal worst-case retry window for an op that completed
+	// just before the checkpoint.
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if resp := rawAcc(t, c, 555, 3); resp.Dup != 1 {
+		t.Fatal("duplicate Acc landed one generation after completion")
+	}
+	// Exactly-once held throughout: the cell accumulated 3 exactly once.
+	if got := c.ToMatrix().At(0, 0); got != 3+50 {
+		t.Fatalf("cell (0,0) = %g, want %g", got, 3.0+50)
+	}
+	// The post-checkpoint retry re-marked 555 into the current generation;
+	// two more rotations age it out, so the table stays bounded and the
+	// same token applies afresh.
+	for i := 0; i < 2; i++ {
+		if err := c.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if resp := rawAcc(t, c, 555, 3); resp.Dup != 0 {
+		t.Fatal("token still held after two full checkpoint generations")
+	}
+	if got := c.ToMatrix().At(0, 0); got != 3+50+3 {
+		t.Fatalf("cell (0,0) = %g after eviction, want %g", got, 3.0+50+3)
 	}
 }

@@ -19,37 +19,22 @@ import (
 
 // Wire operations.
 const (
-	opHello      uint8 = iota + 1 // establish/validate a session on a fresh conn
+	opHello      uint8 = iota + 1 // install or validate a session on a fresh conn
 	opGet                         // read one single-owner patch
 	opPut                         // overwrite one single-owner patch (driver load)
 	opAcc                         // accumulate alpha*data into one patch, token-deduped
 	opPing                        // liveness probe
 	opCheckpoint                  // session checkpoint: advance the dedup eviction generation
-	opMembership                  // read the cluster membership map (JSON in Msg)
-	opPromote                     // promote a standby to primary at the fence epoch in SEpoch
-	opSubscribe                   // standby -> primary: hijack this conn into a replication stream
-
-	// Elastic fleet ops (lease-based membership + live resharding).
-	opJoin    // member -> fleet: register {id, addr, standby, incarnation} (JSON in Msg)
-	opLeave   // member -> fleet: graceful leave; blocks are migrated off first
-	opLease   // member -> fleet: heartbeat renewing the membership lease
-	opView    // anyone -> fleet: fetch the full fleet view (members + placement)
-	opFreeze  // fleet -> shard: freeze writes to proc (durable), return its D/F state + dedup tokens
-	opMigrate // fleet -> shard: install a migrated block's state + tokens and host its proc
-	opSetGen  // fleet -> shard: adopt placement generation PGen; Proc >= 0 also drops that proc
-
-	// Stored-ERI spill ops (see DESIGN.md §11). Blobs are session-scoped
-	// immutable values keyed by Token; deliberately NOT journaled,
-	// snapshotted, or replicated — they are cache legs, and a miss after a
-	// restart/failover just makes the client recompute the batch.
-	opPutBlob // store a spill blob (key in Token, payload in Data); first write wins
-	opGetBlob // fetch a spill blob by Token; statusErr blobMissMsg = miss
-
-	// Multi-session op (job-scoped sessions; see session.go). A session's
-	// last client says goodbye so the shard frees its arrays and dedup
-	// state immediately instead of waiting for an eviction.
-	opBye // release this request's session (multi-session servers only)
+	opPutBlob                     // store a spill blob (key in Token, payload in Data); first write wins
+	opGetBlob                     // fetch a spill blob by Token; statusErr blobMissMsg = miss
+	opBye                         // release this request's session: its arrays, dedup state and blobs
 )
+
+// unknownSessionMsg prefixes the rejection of a data op whose session the
+// server does not hold: it restarted, or the session was released. The
+// client notes it (Client.SessionLost) so its caller can retry under a
+// fresh session.
+const unknownSessionMsg = "netga: unknown session"
 
 // blobMissMsg marks an opGetBlob statusErr answer as a plain cache miss
 // (recompute), as opposed to a malformed request.
@@ -57,63 +42,49 @@ const blobMissMsg = "blob not found"
 
 // Response statuses.
 const (
-	statusOK    uint8 = iota
-	statusErr         // server rejected the request; not retryable
-	statusRetry       // transient rejection (standby, stale shard epoch): retry after resync
+	statusOK  uint8 = iota
+	statusErr       // server rejected the request; not retryable
 )
 
 // maxFrame bounds a frame body so a corrupt length prefix cannot ask for
 // an absurd allocation.
 const maxFrame = 64 << 20
 
-// arrays per server: 0 = D (density, read-mostly), 1 = F (Fock
+// arrays per session: 0 = D (density, read-mostly), 1 = F (Fock
 // accumulator, Acc target).
 const numArrays = 2
 
 // request is one client->server frame. Every request carries the client
 // session so a reconnected conn needs no re-handshake; Hello installs a
-// session (a new session id resets the server's arrays and dedup state)
-// and validates geometry via R0=Rows, C0=Cols. SEpoch is the shard fence
-// epoch the issuer believes the target serves at (0 = unfenced/legacy):
-// a server at a different epoch answers statusRetry so stale clients
-// resync and a superseded primary can never double-apply after failover.
+// session and validates geometry via R0=Rows, C0=Cols, with the grid
+// layout as JSON in Msg.
 type request struct {
 	Op             uint8
 	Array          uint8
 	Session        uint64
 	ReqID          uint64
-	Token          uint64 // Acc idempotency token; 0 = no dedup
+	Token          uint64 // Acc idempotency token (0 = no dedup); blob key
 	Epoch          int64
-	SEpoch         uint64 // shard fence epoch; bumped by standby promotion
-	PGen           uint64 // placement generation the issuer routed by; 0 = static placement
-	Proc           int32  // issuing rank; -1 for driver-side ops
+	Proc           int32 // issuing rank; -1 for driver-side ops
 	R0, R1, C0, C1 int32
 	Alpha          float64
-	Msg            string    // fleet-op JSON payload (join/leave/lease)
-	Tokens         []uint64  // migrated dedup tokens (opMigrate)
-	Data           []float64 // patch payload; for opMigrate: D block then F block
+	Msg            string    // Hello grid layout (JSON)
+	Data           []float64 // patch or blob payload
 }
 
 // response is one server->client frame, matched to its request by ReqID.
-// SEpoch reports the serving shard's current fence epoch on every
-// response, and PGen its placement generation, so clients resync their
-// routing state for free.
 type response struct {
 	Status uint8
 	Dup    uint8 // Acc was a token-dedup hit: acknowledged, not re-applied
 	ReqID  uint64
-	SEpoch uint64
-	PGen   uint64 // serving shard's placement generation (0 = static)
 	Msg    string
-	Tokens []uint64 // dedup tokens of a frozen block (opFreeze)
 	Data   []float64
 }
 
 // reqHeaderLen is the fixed-size prefix of an encoded request:
-// op+array (2) + session+reqid+token (24) + epoch (8) + sepoch (8) +
-// pgen (8) + proc+4 coords (20) + alpha (8) + msg len (2) +
-// token count (4) + data count (4).
-const reqHeaderLen = 2 + 24 + 8 + 8 + 8 + 20 + 8 + 2 + 4 + 4
+// op+array (2) + session+reqid+token (24) + epoch (8) + proc+4 coords
+// (20) + alpha (8) + msg len (2) + data count (4).
+const reqHeaderLen = 2 + 24 + 8 + 20 + 8 + 2 + 4
 
 func encodeRequest(buf []byte, r *request) []byte {
 	buf = buf[:0]
@@ -122,8 +93,6 @@ func encodeRequest(buf []byte, r *request) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, r.ReqID)
 	buf = binary.LittleEndian.AppendUint64(buf, r.Token)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Epoch))
-	buf = binary.LittleEndian.AppendUint64(buf, r.SEpoch)
-	buf = binary.LittleEndian.AppendUint64(buf, r.PGen)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Proc))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.R0))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.R1))
@@ -131,16 +100,9 @@ func encodeRequest(buf []byte, r *request) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.C1))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Alpha))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Msg)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Tokens)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Data)))
 	buf = append(buf, r.Msg...)
-	for _, t := range r.Tokens {
-		buf = binary.LittleEndian.AppendUint64(buf, t)
-	}
-	for _, v := range r.Data {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
+	return appendFloats(buf, r.Data)
 }
 
 func decodeRequest(body []byte, r *request) error {
@@ -152,50 +114,33 @@ func decodeRequest(body []byte, r *request) error {
 	r.ReqID = binary.LittleEndian.Uint64(body[10:])
 	r.Token = binary.LittleEndian.Uint64(body[18:])
 	r.Epoch = int64(binary.LittleEndian.Uint64(body[26:]))
-	r.SEpoch = binary.LittleEndian.Uint64(body[34:])
-	r.PGen = binary.LittleEndian.Uint64(body[42:])
-	r.Proc = int32(binary.LittleEndian.Uint32(body[50:]))
-	r.R0 = int32(binary.LittleEndian.Uint32(body[54:]))
-	r.R1 = int32(binary.LittleEndian.Uint32(body[58:]))
-	r.C0 = int32(binary.LittleEndian.Uint32(body[62:]))
-	r.C1 = int32(binary.LittleEndian.Uint32(body[66:]))
-	r.Alpha = math.Float64frombits(binary.LittleEndian.Uint64(body[70:]))
-	ml := int(binary.LittleEndian.Uint16(body[78:]))
-	nt := int(binary.LittleEndian.Uint32(body[80:]))
-	n := int(binary.LittleEndian.Uint32(body[84:]))
-	if len(body) != reqHeaderLen+ml+8*nt+8*n {
-		return fmt.Errorf("netga: request frame length %d does not match msg %d + %d tokens + %d data values", len(body), ml, nt, n)
+	r.Proc = int32(binary.LittleEndian.Uint32(body[34:]))
+	r.R0 = int32(binary.LittleEndian.Uint32(body[38:]))
+	r.R1 = int32(binary.LittleEndian.Uint32(body[42:]))
+	r.C0 = int32(binary.LittleEndian.Uint32(body[46:]))
+	r.C1 = int32(binary.LittleEndian.Uint32(body[50:]))
+	r.Alpha = math.Float64frombits(binary.LittleEndian.Uint64(body[54:]))
+	ml := int(binary.LittleEndian.Uint16(body[62:]))
+	n := int(binary.LittleEndian.Uint32(body[64:]))
+	if len(body) != reqHeaderLen+ml+8*n {
+		return fmt.Errorf("netga: request frame length %d does not match msg %d + %d data values", len(body), ml, n)
 	}
-	off := reqHeaderLen
-	r.Msg = string(body[off : off+ml])
-	off += ml
-	r.Tokens = decodeUint64s(body[off:], nt)
-	off += 8 * nt
-	r.Data = decodeFloats(body[off:], n)
+	r.Msg = string(body[reqHeaderLen : reqHeaderLen+ml])
+	r.Data = decodeFloats(body[reqHeaderLen+ml:], n)
 	return nil
 }
 
-// respHeaderLen: status+dup (2) + reqid (8) + sepoch (8) + pgen (8) +
-// msg len (2) + token count (4) + data count (4).
-const respHeaderLen = 2 + 8 + 8 + 8 + 2 + 4 + 4
+// respHeaderLen: status+dup (2) + reqid (8) + msg len (2) + data count (4).
+const respHeaderLen = 2 + 8 + 2 + 4
 
 func encodeResponse(buf []byte, r *response) []byte {
 	buf = buf[:0]
 	buf = append(buf, r.Status, r.Dup)
 	buf = binary.LittleEndian.AppendUint64(buf, r.ReqID)
-	buf = binary.LittleEndian.AppendUint64(buf, r.SEpoch)
-	buf = binary.LittleEndian.AppendUint64(buf, r.PGen)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Msg)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Tokens)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Data)))
 	buf = append(buf, r.Msg...)
-	for _, t := range r.Tokens {
-		buf = binary.LittleEndian.AppendUint64(buf, t)
-	}
-	for _, v := range r.Data {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
+	return appendFloats(buf, r.Data)
 }
 
 func decodeResponse(body []byte, r *response) error {
@@ -204,55 +149,21 @@ func decodeResponse(body []byte, r *response) error {
 	}
 	r.Status, r.Dup = body[0], body[1]
 	r.ReqID = binary.LittleEndian.Uint64(body[2:])
-	r.SEpoch = binary.LittleEndian.Uint64(body[10:])
-	r.PGen = binary.LittleEndian.Uint64(body[18:])
-	ml := int(binary.LittleEndian.Uint16(body[26:]))
-	nt := int(binary.LittleEndian.Uint32(body[28:]))
-	n := int(binary.LittleEndian.Uint32(body[32:]))
-	if len(body) != respHeaderLen+ml+8*nt+8*n {
-		return fmt.Errorf("netga: response frame length %d does not match msg %d + %d tokens + %d data values", len(body), ml, nt, n)
+	ml := int(binary.LittleEndian.Uint16(body[10:]))
+	n := int(binary.LittleEndian.Uint32(body[12:]))
+	if len(body) != respHeaderLen+ml+8*n {
+		return fmt.Errorf("netga: response frame length %d does not match msg %d + %d data values", len(body), ml, n)
 	}
-	off := respHeaderLen
-	r.Msg = string(body[off : off+ml])
-	off += ml
-	r.Tokens = decodeUint64s(body[off:], nt)
-	off += 8 * nt
-	r.Data = decodeFloats(body[off:], n)
+	r.Msg = string(body[respHeaderLen : respHeaderLen+ml])
+	r.Data = decodeFloats(body[respHeaderLen+ml:], n)
 	return nil
 }
 
-func decodeUint64s(b []byte, n int) []uint64 {
-	if n == 0 {
-		return nil
+func appendFloats(buf []byte, vals []float64) []byte {
+	for _, v := range vals {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return out
-}
-
-// A record is one durable/replicated state mutation: an 8-byte sequence
-// number followed by an encoded request. The same encoding backs both the
-// write-ahead journal (wrapped in a crc frame there) and the primary ->
-// standby replication stream (wrapped in a wire frame there), so replay
-// and replication apply through one code path.
-func encodeRecord(buf []byte, seq uint64, req *request) []byte {
-	buf = buf[:0]
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	body := encodeRequest(nil, req)
-	return append(buf, body...)
-}
-
-func decodeRecord(body []byte, req *request) (seq uint64, err error) {
-	if len(body) < 8 {
-		return 0, fmt.Errorf("netga: short record (%d bytes)", len(body))
-	}
-	seq = binary.LittleEndian.Uint64(body)
-	if err := decodeRequest(body[8:], req); err != nil {
-		return 0, err
-	}
-	return seq, nil
+	return buf
 }
 
 func decodeFloats(b []byte, n int) []float64 {

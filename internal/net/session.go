@@ -12,10 +12,8 @@ import (
 	"gtfock/internal/dist"
 )
 
-// layout is the grid geometry a client sends in its Hello Msg so a
-// multi-session server can host arrays for a grid it has never seen.
-// Single-session servers (constructed over one fixed grid) ignore it,
-// which keeps the wire format backwards compatible.
+// layout is the grid geometry a client sends in its Hello Msg, so a
+// shard can host arrays for a grid it has never seen.
 type layout struct {
 	Prow    int   `json:"prow"`
 	Pcol    int   `json:"pcol"`
@@ -29,12 +27,20 @@ func layoutMsg(g *dist.Grid2D) string {
 	return string(b)
 }
 
+// maxDim bounds a session's matrix dimension, so the byte charge of
+// even the largest admissible Hello cannot overflow before the memory
+// budget sees it.
+const maxDim = 1 << 20
+
 // parseLayout validates and reconstructs a client grid from a Hello.
 // rows/cols are the matrix dimensions the client put in R0/C0, which the
 // cut vectors must agree with.
 func parseLayout(msg string, rows, cols int) (*dist.Grid2D, error) {
 	if msg == "" {
 		return nil, fmt.Errorf("netga: hello carries no grid layout")
+	}
+	if rows <= 0 || cols <= 0 || rows > maxDim || cols > maxDim {
+		return nil, fmt.Errorf("netga: geometry %dx%d outside [1, %d]", rows, cols, maxDim)
 	}
 	var l layout
 	if err := json.Unmarshal([]byte(msg), &l); err != nil {
@@ -56,14 +62,15 @@ func parseLayout(msg string, rows, cols int) (*dist.Grid2D, error) {
 	return dist.NewGrid2D(l.Prow, l.Pcol, l.RowCuts, l.ColCuts), nil
 }
 
-// jobSession is one job's shard state on a MultiServer: its own grid,
-// arrays, dedup generations and spill blobs, fully isolated from every
-// other session. Lifetime: installed by the job's first Hello, released
-// by opBye (or the server's Close). Deliberately volatile — a restarted
-// multi-session server forgets its sessions, data ops answer "unknown
-// session", and the serving layer retries the whole job under a FRESH
-// session id from its SCF checkpoint, which is what keeps a retried job
-// from ever double-accumulating (new session = empty arrays and dedup).
+// jobSession is one build's (or one job's) shard state on a MultiServer:
+// its own grid, arrays, dedup generations and spill blobs, fully
+// isolated from every other session. Lifetime: installed by the first
+// Hello, released by opBye (or the server's Close). Deliberately
+// volatile — a restarted server forgets its sessions, data ops answer
+// "unknown session", and the caller retries under a FRESH session id
+// (the SCF resumes from its checkpoint), which is what keeps a retried
+// build from ever double-accumulating: a new session means empty arrays
+// and an empty dedup table.
 type jobSession struct {
 	grid *dist.Grid2D
 
@@ -91,13 +98,15 @@ type MultiServerStats struct {
 	MemBudget      int64 `json:"mem_budget,omitempty"`
 }
 
-// MultiServer hosts many concurrent job-scoped sessions, each with its
-// own grid geometry and arrays — the shard side of the HF service, where
-// thousands of small independent SCF jobs multiplex onto one fleet. It
-// speaks the same wire protocol as Server but supports only the data-path
-// ops (Hello/Get/Put/Acc/Ping/Checkpoint/blobs/Bye): durability,
-// replication and elastic placement are single-session concerns and a
-// construction-time error here, not a silent downgrade.
+// MultiServer is the shard server: it hosts the D and F blocks of its
+// share of the process grid for many concurrent sessions, each with its
+// own grid geometry and arrays, and serves framed one-sided RPCs over
+// TCP. Worker-epoch fencing is enforced client-side, in the driver
+// process where the lease ledger lives; the server's job is idempotent
+// application (token dedup), so at-least-once delivery from retrying
+// clients becomes exactly-once accumulation. One fockbuild run is one
+// session; the HF service multiplexes thousands of small SCF jobs onto
+// one fleet, one session per job attempt.
 //
 // Admission is enforced at the shard: a Hello that would exceed
 // maxSessions or the resident-memory budget is refused with a statusErr
@@ -122,10 +131,10 @@ type MultiServer struct {
 	sessionsOpened, sessionsClosed, sessionRejects atomic.Int64
 }
 
-// NewMultiServer creates shard index of nservers for multi-session
-// serving. maxSessions caps concurrently resident sessions (0 = a
-// generous default) and memBudget the summed resident array bytes across
-// sessions (0 = unlimited). The hosted proc set is not fixed at
+// NewMultiServer creates shard index of nservers. maxSessions caps
+// concurrently resident sessions (0 = a generous default) and memBudget
+// the summed resident array and blob bytes across sessions
+// (0 = unlimited). The hosted proc set is not fixed at
 // construction: it is derived per session from SplitProcs over that
 // session's grid, so every job, whatever its geometry, splits across the
 // same nservers shards deterministically.
@@ -274,7 +283,7 @@ func (s *MultiServer) handle(req *request) response {
 	case opGet, opPut, opAcc, opCheckpoint, opPutBlob, opGetBlob:
 		// fall through to the session-scoped data path below
 	default:
-		return errResp(req.ReqID, "netga: op %d not supported in multi-session mode", req.Op)
+		return errResp(req.ReqID, "netga: unknown op %d", req.Op)
 	}
 	s.mu.Lock()
 	js := s.sessions[req.Session]
@@ -283,7 +292,7 @@ func (s *MultiServer) handle(req *request) response {
 		// Deterministic rejection: a restarted shard (or an evicted/ended
 		// session) makes the client's build fail cleanly; the serving layer
 		// retries the job from its checkpoint under a fresh session.
-		return errResp(req.ReqID, "netga: unknown session %d", req.Session)
+		return errResp(req.ReqID, "%s %d", unknownSessionMsg, req.Session)
 	}
 	switch req.Op {
 	case opCheckpoint:
@@ -301,9 +310,10 @@ func (s *MultiServer) handle(req *request) response {
 }
 
 // sessionBytes is the resident charge of one session on this shard. The
-// full-matrix backing store mirrors Server's indexing-simplicity choice;
-// for the small molecules the HF service multiplexes, simplicity beats
-// the constant factor, and the admission budget accounts for it honestly.
+// backing store covers the full matrix for indexing simplicity (only the
+// hosted patches are ever addressed); for the small molecules the HF
+// service multiplexes, simplicity beats the constant factor, and the
+// admission budget accounts for it honestly.
 func sessionBytes(g *dist.Grid2D) int64 {
 	return int64(numArrays) * int64(g.Rows) * int64(g.Cols) * 8
 }
@@ -386,9 +396,10 @@ func (s *MultiServer) hostedBy(g *dist.Grid2D, p int) bool {
 	return p*s.nservers/g.NumProcs() == s.index
 }
 
-// dataOp serves Get/Put/Acc against one session's arrays, mirroring the
-// single-session server's validation: the patch must lie within exactly
-// one block, and that block must be assigned to this shard.
+// dataOp serves Get/Put/Acc against one session's arrays: the patch must
+// lie within exactly one block, and that block must be assigned to this
+// shard (a misrouted request is rejected, catching routing bugs instead
+// of serving zeros).
 func (s *MultiServer) dataOp(req *request, js *jobSession) response {
 	if int(req.Array) >= numArrays {
 		return errResp(req.ReqID, "netga: bad array id %d", req.Array)
@@ -483,4 +494,23 @@ func (s *MultiServer) getBlob(req *request, js *jobSession) response {
 		return errResp(req.ReqID, blobMissMsg)
 	}
 	return response{ReqID: req.ReqID, Data: data}
+}
+
+func errResp(reqID uint64, format string, args ...any) response {
+	return response{Status: statusErr, ReqID: reqID, Msg: fmt.Sprintf(format, args...)}
+}
+
+// SplitProcs assigns nprocs grid blocks contiguously across nservers
+// shard servers: assign[p] is the server index hosting proc p, and
+// hosted[k] lists server k's procs. Clients and servers must use the
+// same assignment; this is the one canonical scheme.
+func SplitProcs(nprocs, nservers int) (assign []int, hosted [][]int) {
+	assign = make([]int, nprocs)
+	hosted = make([][]int, nservers)
+	for p := 0; p < nprocs; p++ {
+		k := p * nservers / nprocs
+		assign[p] = k
+		hosted[k] = append(hosted[k], p)
+	}
+	return assign, hosted
 }

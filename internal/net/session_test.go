@@ -40,6 +40,10 @@ func TestLayoutRoundTrip(t *testing.T) {
 		{msg, 18, 23}, // cuts disagree with geometry
 		{`{"prow":2,"pcol":2,"row_cuts":[0,9]}`, 17, 23},                    // wrong cut count
 		{`{"prow":1,"pcol":1,"row_cuts":[5,17],"col_cuts":[0,23]}`, 17, 23}, // not from zero
+		{`{"prow":1,"pcol":1,"row_cuts":[0,0],"col_cuts":[0,0]}`, 0, 0},     // empty matrix
+		// A matrix this large would overflow the byte charge before the
+		// memory budget could refuse it.
+		{layoutMsg(dist.UniformGrid2D(1, 1, 1<<31-1, 1<<31-1)), 1<<31 - 1, 1<<31 - 1},
 	} {
 		if _, err := parseLayout(bad.msg, bad.rows, bad.cols); err == nil {
 			t.Fatalf("parseLayout(%q, %d, %d) accepted", bad.msg, bad.rows, bad.cols)
@@ -241,8 +245,8 @@ func TestMultiServerKillForgetsSessions(t *testing.T) {
 }
 
 // Checkpoint rotates the per-session dedup generations: a token is
-// still deduped one generation later and evicted after two, mirroring
-// the single-session server's contract.
+// still deduped one generation later and evicted after two (see
+// TestDedupEvictionAtCheckpointOnly for the eviction itself).
 func TestMultiServerCheckpointRotation(t *testing.T) {
 	addrs, servers := startMultiFleet(t, 1, 0, 0)
 	g := dist.UniformGrid2D(1, 1, 2, 2)

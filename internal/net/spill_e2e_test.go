@@ -23,23 +23,8 @@ func TestSpillE2EReplayMatchesSerial(t *testing.T) {
 	ref := core.BuildSerial(bs, scr, d)
 	const session = 31
 	grid := core.Grid(bs, 2, 2)
-	assign, hosted := netga.SplitProcs(grid.NumProcs(), 2)
-	addrs := make([]string, 2)
-	var servers []*netga.Server
-	for k := 0; k < 2; k++ {
-		srv := netga.NewServer(grid, hosted[k])
-		addr, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("start server %d: %v", k, err)
-		}
-		servers = append(servers, srv)
-		addrs[k] = addr
-	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	})
+	assign, _ := netga.SplitProcs(grid.NumProcs(), 2)
+	servers, addrs := startShards(t, 2)
 	// One persistent pair of array clients across both builds: a fresh
 	// client restarts its Acc-token counter, and on an already-installed
 	// session the servers' exactly-once dedup would discard the second
@@ -99,11 +84,13 @@ func TestSpillE2EReplayMatchesSerial(t *testing.T) {
 	if st.TaskHits == 0 || st.TaskMisses == 0 {
 		t.Fatalf("record/replay pattern missing: %+v", st)
 	}
-	var stored int64
+	// Every spilled byte is resident on the servers, charged on top of
+	// the session's D and F arrays.
+	var blobBytes int64
 	for _, s := range servers {
-		stored += s.Stats().BlobsStored
+		blobBytes += s.Stats().MemUsed - int64(2*8*grid.Rows*grid.Cols)
 	}
-	if stored != st.Spills {
-		t.Fatalf("servers hold %d blobs, store spilled %d", stored, st.Spills)
+	if blobBytes != st.SpillBytes {
+		t.Fatalf("servers hold %d blob bytes, store spilled %d", blobBytes, st.SpillBytes)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // leases expire, and the surviving peers' adoption scanners acquire the
 // orphaned jobs and resume them from their last SCF checkpoint through
 // the FleetRunner's fresh-session path, so a dead attempt's accumulates
-// can never merge with a live one (DESIGN.md §13).
+// can never merge with a live one (DESIGN.md §12).
 //
 // At-most-once execution does not depend on the failure detector being
 // right: a falsely-expired owner keeps executing only until its next
@@ -229,6 +229,17 @@ func (p *Peer) runLeased(ctx context.Context, j *Job) (*JobResult, error) {
 	if err != nil && errors.Is(context.Cause(runCtx), ErrLeaseLost) {
 		return nil, fmt.Errorf("serve: job %s: %w", j.ID, ErrLeaseLost)
 	}
+	if err == nil && res != nil {
+		// Ack after commit: the outcome is in the registry before the
+		// scheduler publishes the done event, so no client can see done
+		// while the record is still active — a peer killed in between
+		// would leave the record to lease expiry and adoption.
+		rec := *res
+		j.mu.Lock()
+		rec.Retries = j.retries
+		j.mu.Unlock()
+		p.finish(j, RecDone, &rec, "")
+	}
 	return res, err
 }
 
@@ -248,20 +259,9 @@ func (p *Peer) onCheckpoint(j *Job, iter int) {
 }
 
 // onTerminal records a job's terminal outcome in the registry and drops
-// its lease. Runs on its own goroutine (the scheduler fired it post-
-// transition); transient registry failures are retried while the
-// heartbeat keeps the lease alive, fence losses mean another peer owns
-// the truth now and this outcome is correctly discarded.
+// its lease, unless runLeased already committed it. Runs on its own
+// goroutine (the scheduler fired it post-transition).
 func (p *Peer) onTerminal(j *Job) {
-	if p.dead.Load() {
-		return
-	}
-	p.mu.Lock()
-	fence, held := p.owned[j.ID]
-	p.mu.Unlock()
-	if !held {
-		return
-	}
 	state := RecFailed
 	switch j.State() {
 	case StateDone:
@@ -275,6 +275,23 @@ func (p *Peer) onTerminal(j *Job) {
 	msg := ""
 	if jerr != nil {
 		msg = jerr.Error()
+	}
+	p.finish(j, state, res, msg)
+}
+
+// finish records a held job's terminal outcome in the registry and drops
+// its lease. Transient registry failures are retried while the heartbeat
+// keeps the lease alive; fence losses mean another peer owns the truth
+// now and this outcome is correctly discarded.
+func (p *Peer) finish(j *Job, state string, res *JobResult, msg string) {
+	if p.dead.Load() {
+		return
+	}
+	p.mu.Lock()
+	fence, held := p.owned[j.ID]
+	p.mu.Unlock()
+	if !held {
+		return
 	}
 	for attempt := 0; attempt < 5; attempt++ {
 		err := p.reg.Finish(j.ID, p.cfg.ID, p.cfg.Incarnation, fence, state, res, msg)

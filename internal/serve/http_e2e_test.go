@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -104,5 +106,32 @@ func TestAPIStreamsRealJob(t *testing.T) {
 	}
 	if status.Result.Iterations != iterations {
 		t.Errorf("status says %d iterations, stream carried %d", status.Result.Iterations, iterations)
+	}
+}
+
+// Non-positive molecule sizes are client errors: the submit answers 400
+// with a reason instead of dropping the connection on a panic.
+func TestAPIRejectsBadSizeSpecs(t *testing.T) {
+	runner := RunnerFunc(func(context.Context, *Job) (*JobResult, error) {
+		t.Error("a rejected spec reached the runner")
+		return nil, errors.New("unreachable")
+	})
+	s, err := NewServer(Config{Capacity: 1, Runner: runner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer((&API{Server: s}).Handler())
+	t.Cleanup(hs.Close)
+	for _, spec := range []string{"alkane:0", "alkane:-1", "flake:0", "flake:-2"} {
+		resp, err := hs.Client().Post(hs.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"molecule":"`+spec+`","basis":"sto-3g"}`))
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), spec) {
+			t.Errorf("%s: HTTP %d %q, want 400 naming the spec", spec, resp.StatusCode, body)
+		}
 	}
 }

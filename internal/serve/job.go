@@ -2,7 +2,7 @@
 // concurrent SCF jobs, multiplexes them onto a shared fockd shard fleet
 // through job-scoped netga sessions, and keeps the daemon overload-safe
 // with explicit admission control, per-tenant fair-share scheduling,
-// per-job deadlines, and a graceful degradation ladder (DESIGN.md §12).
+// per-job deadlines, and a graceful degradation ladder (DESIGN.md §11).
 //
 // The invariant the whole package is built around: once a job is
 // ADMITTED it either completes with a correct energy or terminates with

@@ -18,7 +18,7 @@ import (
 // Registry is the HA service tier's replicated job registry: the single
 // source of truth for every job's spec, tenant, priority, latest
 // checkpoint pointer, ownership lease and terminal outcome, shared by N
-// hfd front-end peers (DESIGN.md §13).
+// hfd front-end peers (DESIGN.md §12).
 //
 // Ownership is a heartbeat-refreshed, incarnation-fenced lease modeled
 // on the shard fleet's membership leases (internal/net/fleet.go): every
@@ -39,9 +39,8 @@ import (
 // log. Heartbeat renewals are in-memory only: on a registry restart every
 // lease is conservatively expired, so the surviving peers re-adopt; what
 // must never survive a crash wrongly is the fence sequence, and that is
-// journaled. Like the PR 6 fleet coordinator, the registry is one
-// process — its crash pauses adoption but loses nothing, and a restart
-// recovers from snapshot + journal.
+// journaled. The registry is one process — its crash pauses adoption
+// but loses nothing, and a restart recovers from snapshot + journal.
 type Registry struct {
 	cfg RegistryConfig
 	met *metrics.Serve
