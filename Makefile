@@ -11,8 +11,9 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Race-detector run of the full suite; the chaos tests exercise the
-# fault-tolerant build's concurrency hardest.
+# Race-detector run of the full suite; the loopback chaos and kill e2es
+# exercise the concurrent build, the client's retries and the
+# fresh-session rebuilds hardest.
 race:
 	$(GO) test -race ./...
 
@@ -30,7 +31,8 @@ net-test:
 
 # Fixed-seed loopback chaos smoke: the Fock build over TCP shard
 # servers under injected resets/dups/partitions must match the serial
-# oracle with exactly-once accumulation.
+# oracle with exactly-once accumulation, a failed build being retried
+# whole under a fresh session.
 net-smoke:
 	$(GO) test -count=1 -run 'TestLoopback(Chaos)?BuildMatchesSerial' ./internal/net/
 
@@ -48,8 +50,7 @@ net-kill:
 # Stored-ERI cache and ΔD gate under the race detector: the store unit
 # layer (commit idempotence, budget/spill/drop legs, blob keying), the
 # concurrent density-bound publication test, record/replay equivalence
-# against the serial oracle (including under chaos with exactly-once
-# accounting), the G-linearity property behind ΔD builds, the SCF
+# against the serial oracle, the G-linearity property behind ΔD builds, the SCF
 # equivalence of cached ΔD runs, and the blob spill legs over the real
 # transport.
 cache-test:
@@ -60,10 +61,11 @@ cache-test:
 # 2-shard fleet; every accepted job must match its solo energy to 1e-9,
 # including across an injected mid-SCF shard kill+restart; rejections
 # must be explicit and land in <100ms), plus the multi-session shard
-# layer, the fair-share/quota/shed scheduler, and the job lifecycle
-# unit tests.
+# layer (including the default-budget refusal of an oversized Hello),
+# the fair-share/quota/shed scheduler, the job lifecycle unit tests, and
+# the 413 refusal of oversized submit and registry bodies.
 serve-test:
-	$(GO) test -race -count=1 -run 'TestOverloadEndToEnd|TestMultiServer|TestLayoutRoundTrip|TestClassifyFailureCounters|TestFairShare|TestTenantQuotas|TestShedLadder|TestAdmission|TestMemoryBudget|TestDeadline|TestClientCancel|TestPreemption|TestNoPreemption|TestDrain|TestEventStream' ./internal/serve/ ./internal/net/
+	$(GO) test -race -count=1 -run 'TestOverloadEndToEnd|TestMultiServer|TestLayoutRoundTrip|TestClassifyFailureCounters|TestFairShare|TestTenantQuotas|TestShedLadder|TestAdmission|TestMemoryBudget|TestDeadline|TestClientCancel|TestPreemption|TestNoPreemption|TestDrain|TestEventStream|Oversized' ./internal/serve/ ./internal/net/
 
 # HA service-tier gate under the race detector: the daemon-kill chaos
 # e2e (3 peers sharing a lease registry over a live 2-shard fleet, one
@@ -81,14 +83,18 @@ serve-ha:
 # Ten seconds per fuzz target over bytes from disk or the network: the
 # durable log's replay (no panic, no allocation past the record bound,
 # cuts only at a frame boundary), the wire request/response decoders (no
-# panic, decode -> encode round trip), and arbitrary decoded requests
+# panic, decode -> encode round trip), arbitrary decoded requests
 # against a live shard server (error statuses, never a panic or a write
-# to another session's arrays).
+# to another session's arrays), SCF checkpoint files (rejected with an
+# error, or accepted only when consistent) and hfd submit bodies
+# (bounded decode: a 4xx, or a spec that round-trips).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzLogReplay$$' -fuzztime=10s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s ./internal/net/
 	$(GO) test -run '^$$' -fuzz='^FuzzDecodeResponse$$' -fuzztime=10s ./internal/net/
 	$(GO) test -run '^$$' -fuzz='^FuzzServerApply$$' -fuzztime=10s ./internal/net/
+	$(GO) test -run '^$$' -fuzz='^FuzzLoadCheckpoint$$' -fuzztime=10s ./internal/scf/
+	$(GO) test -run '^$$' -fuzz='^FuzzJobSpec$$' -fuzztime=10s ./internal/serve/
 
 ci: build vet generate-check race net-smoke net-kill cache-test serve-test serve-ha fuzz-smoke
 

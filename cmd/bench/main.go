@@ -1,9 +1,9 @@
 // Command bench is the repeatable benchmark harness for the real-mode
 // Fock build: it runs an alkane series at fixed parameters and emits a
 // machine-readable BENCH_fock.json with, per case, the best-of-reps wall
-// time, a serial-oracle calibration time, load balance, steal count,
-// communication volume, and the overhead of the armed (zero-rate) fault
-// runtime — the quantities the paper's Tables V-VIII track. A micro
+// time, a serial-oracle calibration time, load balance, steal count and
+// communication volume — the quantities the paper's Tables V-VIII
+// track. A micro
 // section benchmarks the ERI kernel layer itself: ns/quartet per kernel
 // class (with the general MD path as reference) and the batched path over
 // a real task's quartet list, with allocs/op gated at zero.
@@ -37,7 +37,6 @@ import (
 	"gtfock/internal/chem"
 	"gtfock/internal/core"
 	"gtfock/internal/dist"
-	"gtfock/internal/fault"
 	"gtfock/internal/integrals"
 	"gtfock/internal/linalg"
 	"gtfock/internal/metrics"
@@ -49,11 +48,9 @@ type benchCase struct {
 	NShells       int     `json:"nshells"`
 	NFuncs        int     `json:"nfuncs"`
 	Tasks         int64   `json:"tasks"`
-	SerialNS      int64   `json:"serial_ns"`      // calibration: serial oracle build
-	WallNS        int64   `json:"wall_ns"`        // best of reps, plain parallel build
-	WallFaultNS   int64   `json:"wall_fault_ns"`  // best of reps, armed zero-rate fault runtime
-	FaultOverhead float64 `json:"fault_overhead"` // WallFaultNS / WallNS
-	NormWall      float64 `json:"norm_wall"`      // WallNS / SerialNS (the checked quantity)
+	SerialNS      int64   `json:"serial_ns"` // calibration: serial oracle build
+	WallNS        int64   `json:"wall_ns"`   // best of reps, plain parallel build
+	NormWall      float64 `json:"norm_wall"` // WallNS / SerialNS (the checked quantity)
 	LoadBalance   float64 `json:"load_balance"`
 	StealsTotal   int64   `json:"steals_total"`
 	CommMBPerProc float64 `json:"comm_mb_per_proc"`
@@ -188,9 +185,9 @@ func runSeries(specs []string, bname, grid string, prow, pcol, reps int) benchRe
 	rep := benchReport{Basis: bname, Grid: grid, Reps: reps}
 	for _, spec := range specs {
 		c := runCase(spec, bname, prow, pcol, reps)
-		fmt.Printf("%-12s %3d shells: serial %8.1fms  wall %8.1fms  norm %5.2f  fault x%.3f  l=%.3f  steals=%d  gen=%.0f%%\n",
+		fmt.Printf("%-12s %3d shells: serial %8.1fms  wall %8.1fms  norm %5.2f  l=%.3f  steals=%d  gen=%.0f%%\n",
 			c.Mol, c.NShells, float64(c.SerialNS)/1e6, float64(c.WallNS)/1e6,
-			c.NormWall, c.FaultOverhead, c.LoadBalance, c.StealsTotal, c.GeneralFrac*100)
+			c.NormWall, c.LoadBalance, c.StealsTotal, c.GeneralFrac*100)
 		rep.Cases = append(rep.Cases, c)
 	}
 	return rep
@@ -221,17 +218,7 @@ func runCase(spec, bname string, prow, pcol, reps int) benchCase {
 			stats = res.Stats
 		}
 	}
-	for r := 0; r < reps; r++ {
-		// Armed injector with zero rates: the full fault runtime (ledger,
-		// leases, fenced accumulates, monitor) with no faults firing.
-		res := core.Build(bs, scr, d, core.Options{
-			Prow: prow, Pcol: pcol,
-			Fault: fault.New(fault.Config{Seed: 1}),
-		})
-		c.WallFaultNS = minNZ(c.WallFaultNS, res.Wall.Nanoseconds())
-	}
 
-	c.FaultOverhead = float64(c.WallFaultNS) / float64(c.WallNS)
 	c.NormWall = float64(c.WallNS) / float64(c.SerialNS)
 	c.LoadBalance = stats.LoadBalance()
 	for i := range stats.Per {

@@ -11,14 +11,17 @@
 //	fockbuild -mol C96H24 -engine nwchem -mode sim -cores 3888
 //	fockbuild -mol alkane:40 -reorder cell -grid 4x2
 //
-// Fault tolerance (gtfock real mode): the -fault-* flags inject seeded
-// worker crashes, stalls, and transport faults into the build, which then
-// recovers via leases, epoch fencing, and orphan re-execution. -chaos N
-// runs N seeded fault injections sweeping the rates and verifies every
-// recovered G against the serial oracle:
+// Network backend (gtfock real mode): -backend net runs the build over
+// fockd shard servers. The -fault-net-* flags inject seeded connection
+// faults (resets, duplicated frames, slow links, partition windows) that
+// the client's retries and idempotency tokens absorb. A build that still
+// fails — an op failed past the retry budget, or a restarted shard
+// forgot the session — is rerun from scratch under a fresh session, up
+// to three times; -net-verify checks the accepted G against the serial
+// oracle:
 //
-//	fockbuild -mol alkane:4 -basis sto-3g -fault-crash 0.3 -fault-stall 0.05
-//	fockbuild -mol alkane:2 -basis sto-3g -chaos 20
+//	fockbuild -mol alkane:2 -basis sto-3g -backend net \
+//	  -net-servers 127.0.0.1:7111,127.0.0.1:7112 -net-verify -fault-net-reset 0.15
 package main
 
 import (
@@ -63,18 +66,6 @@ func main() {
 		httpAddr   = flag.String("http", "", "serve /debug/vars (expvar) and /debug/pprof on this address (e.g. localhost:6060)")
 		httpWait   = flag.Bool("http-wait", false, "after the build, keep the -http endpoint serving until interrupted")
 
-		// Fault injection / recovery (gtfock real mode).
-		faultSeed       = flag.Int64("fault-seed", 1, "seed for the deterministic fault injector")
-		faultCrash      = flag.Float64("fault-crash", 0, "probability a worker crashes before its flush")
-		faultCrashAfter = flag.Float64("fault-crash-after", 0, "probability a worker crashes after its flush")
-		faultStall      = flag.Float64("fault-stall", 0, "per-task probability of a worker stall")
-		faultStallMS    = flag.Int("fault-stall-ms", 50, "stall duration in ms")
-		faultDrop       = flag.Float64("fault-drop", 0, "probability a one-sided op is dropped")
-		faultDelay      = flag.Float64("fault-delay", 0, "probability a one-sided op is delayed")
-		faultDelayMS    = flag.Int("fault-delay-ms", 1, "op delay in ms")
-		leaseMS         = flag.Int("lease-ms", 200, "worker lease TTL in ms (fault mode)")
-		chaos           = flag.Int("chaos", 0, "run N seeded chaos builds sweeping fault rates and verify each against the serial oracle")
-
 		// Stored-ERI cache (gtfock real mode): build 1 records each task's
 		// surviving integral batch, builds 2..N replay it without touching
 		// the kernel layer. -eri-spill parks over-budget batches on the
@@ -92,6 +83,7 @@ func main() {
 		netVerify  = flag.Bool("net-verify", false, "verify the net-backed G against the serial oracle (small molecules)")
 
 		// Network fault injection (backend=net): applied at the conn layer.
+		faultSeed      = flag.Int64("fault-seed", 1, "seed for the deterministic network fault injector")
 		netReset       = flag.Float64("fault-net-reset", 0, "probability an RPC's connection is reset mid-flight")
 		netDup         = flag.Float64("fault-net-dup", 0, "probability an RPC frame is delivered twice")
 		netDelay       = flag.Float64("fault-net-delay", 0, "probability an RPC is held on a slow link")
@@ -156,28 +148,13 @@ func main() {
 			fatalIf(fmt.Errorf("-eri-cache requires -engine gtfock"))
 		}
 		d := guessDensity(bs)
-		if *chaos > 0 {
-			if *engine != "gtfock" {
-				fatalIf(fmt.Errorf("-chaos requires -engine gtfock"))
-			}
-			runChaos(bs, scr, d, prow, pcol, *chaos, *faultSeed, *leaseMS)
-			return
-		}
 		switch *engine {
 		case "gtfock":
 			copt := core.Options{Prow: prow, Pcol: pcol, PrimTol: *primTol}
-			if *faultCrash > 0 || *faultCrashAfter > 0 || *faultStall > 0 ||
-				*faultDrop > 0 || *faultDelay > 0 ||
-				*netReset > 0 || *netDup > 0 || *netDelay > 0 || *netPartition > 0 {
-				copt.Fault = fault.New(fault.Config{
+			var inj *fault.Injector
+			if *netReset > 0 || *netDup > 0 || *netDelay > 0 || *netPartition > 0 {
+				inj = fault.New(fault.Config{
 					Seed:             *faultSeed,
-					CrashBeforeFlush: *faultCrash,
-					CrashAfterFlush:  *faultCrashAfter,
-					StallProb:        *faultStall,
-					StallFor:         time.Duration(*faultStallMS) * time.Millisecond,
-					DropProb:         *faultDrop,
-					DelayProb:        *faultDelay,
-					DelayFor:         time.Duration(*faultDelayMS) * time.Millisecond,
 					NetResetProb:     *netReset,
 					NetDupProb:       *netDup,
 					NetDelayProb:     *netDelay,
@@ -185,7 +162,6 @@ func main() {
 					NetPartitionProb: *netPartition,
 					NetPartitionFor:  time.Duration(*netPartitionMS) * time.Millisecond,
 				})
-				copt.LeaseTTL = time.Duration(*leaseMS) * time.Millisecond
 			}
 			session := *netSession
 			if session == 0 {
@@ -199,7 +175,6 @@ func main() {
 				}
 				addrs = strings.Split(*netServers, ",")
 				rpc = &metrics.RPC{}
-				copt.LeaseTTL = time.Duration(*leaseMS) * time.Millisecond
 				fmt.Printf("net backend: %d shard servers, session %d\n", len(addrs), session)
 			} else if *backend != "local" {
 				fatalIf(fmt.Errorf("unknown backend %q", *backend))
@@ -226,7 +201,7 @@ func main() {
 			var store *integrals.ERIStore
 			begin := func() {
 				if addrs != nil {
-					ns = &shardSession{addrs: addrs, id: session, inj: copt.Fault, rpc: rpc}
+					ns = &shardSession{addrs: addrs, id: session, inj: inj, rpc: rpc}
 					copt.Backend = ns.backend
 				}
 				if *eriCache {
@@ -242,11 +217,17 @@ func main() {
 			}
 			begin()
 			res := core.Build(bs, scr, d, copt)
-			for retry := 1; res.Err != nil && ns != nil && ns.lost() && retry <= freshSessionRetries; retry++ {
-				// A shard restarted and forgot the session: nothing of it
-				// survives, so rebuild from scratch under a fresh one.
-				fmt.Printf("net backend: session %d lost to a shard restart (%v); retry %d under session %d\n",
-					session, res.Err, retry, session+1)
+			for retry := 1; res.Err != nil && ns != nil && retry <= freshSessionRetries; retry++ {
+				// A failed build's session is never reused: a restarted
+				// shard forgot it, and a late accumulate of the failed
+				// build could still land in it. Rebuild from scratch under
+				// a fresh one.
+				what := "failed"
+				if ns.lost() {
+					what = "lost to a shard restart"
+				}
+				fmt.Printf("net backend: session %d %s (%v); retry %d under session %d\n",
+					session, what, res.Err, retry, session+1)
 				ns.close()
 				session++
 				begin()
@@ -314,27 +295,16 @@ func report(st *dist.RunStats, label string) {
 	fmt.Printf("  comm volume/process: %.2f MB in %.0f calls\n", st.VolumeAvgMB(), st.CallsAvg())
 	fmt.Printf("  steals/process:      %.2f (from %.2f victims)\n", st.StealsAvg(), st.VictimsAvg())
 	fmt.Printf("  queue ops/process:   %.1f\n", st.QueueOpsAvg())
-	if r := &st.Recovery; r.Any() {
-		fmt.Printf("  recovery:            %d crashes, %d stalls, %d aborts, %d workers fenced\n",
-			r.Crashes, r.Stalls, r.Aborts, r.WorkersFenced)
-		fmt.Printf("                       %d blocks orphaned, %d reassigned (%d tasks), %d fenced flushes\n",
-			r.BlocksOrphaned, r.BlocksReassigned, r.TasksReassigned, r.FencedFlushes)
-		fmt.Printf("                       %d op drops, %d op retries, %d extra rounds\n",
-			r.OpDrops, r.OpRetries, r.Rounds)
-	}
 }
 
-// printTrace renders a real-mode trace: the timeline plus per-kind and
-// discarded-work totals.
+// printTrace renders a real-mode trace: the timeline plus per-kind
+// totals.
 func printTrace(tr *dist.Trace) {
 	fmt.Print(tr.Timeline(100, 24))
 	tot := tr.KindTotals()
 	fmt.Printf("  traced time: compute %.4fs, prefetch %.4fs, flush %.4fs, steal %.4fs\n",
 		tot[byte(dist.SpanCompute)], tot[byte(dist.SpanPrefetch)],
 		tot[byte(dist.SpanFlush)], tot[byte(dist.SpanSteal)])
-	if n, secs := tr.DiscardedTotal(); n > 0 {
-		fmt.Printf("  discarded (fenced incarnations): %d spans, %.4fs re-executed elsewhere\n", n, secs)
-	}
 }
 
 // writeMetrics dumps the registry snapshot as indented JSON.
@@ -344,56 +314,6 @@ func writeMetrics(path string, reg *metrics.Registry) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// runChaos executes n seeded fault-injected builds sweeping crash, stall
-// and transport rates, checking every recovered G against the serial
-// oracle. Any mismatch or recovery failure exits nonzero.
-func runChaos(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix,
-	prow, pcol, n int, seed int64, leaseMS int) {
-	fmt.Printf("chaos: %d seeded fault-injected builds on a %dx%d grid\n", n, prow, pcol)
-	ref := core.BuildSerial(bs, scr, d)
-	failures := 0
-	var total dist.RecoveryStats
-	for i := 0; i < n; i++ {
-		// Sweep the fault mix deterministically with the run index.
-		mix := fault.Config{
-			Seed:             seed + int64(i),
-			CrashBeforeFlush: 0.2 + 0.2*float64(i%3),
-			CrashAfterFlush:  0.1 * float64(i%2),
-			StallProb:        0.02 * float64(i%3),
-			StallFor:         time.Duration(2*leaseMS) * time.Millisecond,
-			DropProb:         0.1 * float64(i%4),
-			DelayProb:        0.05,
-			DelayFor:         time.Millisecond,
-		}
-		res := core.Build(bs, scr, d, core.Options{
-			Prow: prow, Pcol: pcol,
-			Fault:    fault.New(mix),
-			LeaseTTL: time.Duration(leaseMS) * time.Millisecond,
-		})
-		diff := linalg.MaxAbsDiff(ref, res.G)
-		rec := &res.Stats.Recovery
-		status := "ok"
-		if diff > 1e-9 {
-			status = "MISMATCH"
-			failures++
-		}
-		fmt.Printf("  run %2d seed %4d: |G-serial| = %.2e  crashes=%d fenced=%d reassigned=%d rounds=%d  %s\n",
-			i, mix.Seed, diff, rec.Crashes, rec.WorkersFenced, rec.BlocksReassigned, rec.Rounds, status)
-		total.Crashes += rec.Crashes
-		total.Stalls += rec.Stalls
-		total.WorkersFenced += rec.WorkersFenced
-		total.BlocksReassigned += rec.BlocksReassigned
-		total.OpDrops += rec.OpDrops
-		total.Rounds += rec.Rounds
-	}
-	fmt.Printf("chaos summary: %d/%d runs correct; %d crashes, %d stalls, %d workers fenced, %d blocks reassigned, %d op drops, %d extra rounds\n",
-		n-failures, n, total.Crashes, total.Stalls, total.WorkersFenced,
-		total.BlocksReassigned, total.OpDrops, total.Rounds)
-	if failures > 0 {
-		fatalIf(fmt.Errorf("%d of %d chaos runs diverged from the serial oracle", failures, n))
-	}
 }
 
 // replayCachedBuilds re-runs the build against the store populated by
@@ -435,9 +355,9 @@ func replayCachedBuilds(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix,
 	}
 }
 
-// freshSessionRetries caps the builds fockbuild retries under a fresh
-// session after a shard restart lost the current one (the same default
-// as the HF service's job retries).
+// freshSessionRetries caps the builds fockbuild reruns under a fresh
+// session after a build failed (the same default as the HF service's
+// job retries).
 const freshSessionRetries = 3
 
 // shardSession is one session on the fockd shard servers: the D and F

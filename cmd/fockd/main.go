@@ -14,10 +14,12 @@
 //	fockbuild -mol alkane:2 -basis sto-3g -grid 2x2 -backend net -net-servers 127.0.0.1:7101,127.0.0.1:7102
 //
 // The same fleet serves hfd's jobs, many sessions at once, admitted
-// against -multi-sessions and -multi-mem-mb. Sessions are volatile by
-// design: a killed and restarted fockd forgets them, its clients see
-// "unknown session", and fockbuild (or hfd) retries the build under a
-// fresh session. -http serves /debug/vars with the shard state.
+// against -multi-sessions and -multi-mem-mb (default 1024 MiB per
+// shard; a Hello over budget is refused, not allocated). Sessions are
+// volatile by design: a killed and restarted fockd forgets them, its
+// clients see "unknown session", and fockbuild (or hfd) retries the
+// build under a fresh session. -http serves /debug/vars with the shard
+// state.
 package main
 
 import (
@@ -38,7 +40,7 @@ func main() {
 		listen      = flag.String("listen", "127.0.0.1:0", "TCP address to listen on")
 		httpAddr    = flag.String("http", "", "serve /debug/vars and /debug/pprof on this address")
 		maxSessions = flag.Int("multi-sessions", 256, "cap on concurrently resident sessions")
-		memMB       = flag.Int64("multi-mem-mb", 0, "resident memory budget in MiB across sessions (0 = unlimited)")
+		memMB       = flag.Int64("multi-mem-mb", netga.DefaultMemBudgetMB, "resident memory budget in MiB across sessions (0 = unlimited)")
 	)
 	flag.Parse()
 

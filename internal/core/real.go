@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"gtfock/internal/basis"
 	"gtfock/internal/dist"
-	"gtfock/internal/fault"
 	"gtfock/internal/integrals"
 	"gtfock/internal/linalg"
 	"gtfock/internal/metrics"
@@ -25,11 +23,10 @@ type Options struct {
 	DisableFastKernels bool
 
 	// Ctx, when non-nil, cancels the build: workers observe the
-	// cancellation between tasks and abandon their incarnations, in-flight
-	// retried operations abort early (always before an accumulate's point
-	// of no return, so nothing half-lands), and Build returns with
-	// Result.Err wrapping the context's cause. A canceled build never
-	// produces a usable G — callers resume from their own checkpoints.
+	// cancellation between tasks, in-flight retried operations abort, and
+	// Build returns with Result.Err wrapping the context's cause. A
+	// canceled build never produces a usable G — callers resume from
+	// their own checkpoints.
 	Ctx context.Context
 
 	// PairTable, when non-nil, is the precomputed shell-pair table all
@@ -55,58 +52,30 @@ type Options struct {
 	// Schwarz-surviving set (valid for any later density), and both the
 	// recording and replaying paths prune the same quartets per build, so
 	// a replayed task and a recomputed task commit identical
-	// contributions and the exactly-once chaos invariants hold unchanged.
+	// contributions.
 	ERIStore *integrals.ERIStore
-
-	// Fault enables the fault-tolerant runtime: the injector is consulted
-	// at worker lifecycle points and on one-sided ops, and the build runs
-	// with leases, heartbeats, epoch fencing and orphan recovery. Nil
-	// (the default) keeps the original fast path with zero overhead.
-	Fault *fault.Injector
-	// LeaseTTL is how long a worker may go without a heartbeat before the
-	// monitor declares it dead and re-enqueues its uncommitted blocks.
-	// Default 1s. It should exceed the longest single task plus any
-	// benign op delay; a too-small TTL is safe but wastes re-execution.
-	LeaseTTL time.Duration
-	// MonitorEvery is the lease-scan period (default LeaseTTL/4).
-	MonitorEvery time.Duration
-	// MaxFaultRounds bounds the number of crash-recovery respawn rounds
-	// before the injector is disarmed to force completion (default 8).
-	MaxFaultRounds int
-	// RetryAttempts/RetryBackoff configure the reliable wrappers around
-	// prefetch Gets (defaults 4 attempts, 1ms initial backoff). Flush
-	// accumulates retry without an attempt bound; see dist.AccFencedRetry.
-	RetryAttempts int
-	RetryBackoff  time.Duration
-	// RetryWallCap bounds the total wall time one retried operation may
-	// consume (context deadline over the whole retry loop, default 10s).
-	// A prefetch Get hitting the cap abandons the incarnation cleanly; a
-	// flush Acc consults it only before the commit's point of no return
-	// (the first landed patch) — after that, retries are unbounded,
-	// because abandoning a half-landed flush would break exactly-once.
-	RetryWallCap time.Duration
 
 	// Backend, when non-nil, supplies the global arrays for D and F —
 	// e.g. the TCP Global Arrays transport in internal/net — in place of
 	// the in-process dist.GlobalArray. Build calls it once with the
 	// block layout and the run's stats; cleanup (may be nil) runs when
-	// the build finishes. A build over an external backend always runs
-	// the lease/fencing runtime, so a worker that loses its transport
-	// past the retry budget degrades gracefully: it aborts, the monitor
-	// fences it, and its blocks are re-executed exactly once elsewhere.
+	// the build finishes. Operations on an external backend can fail:
+	// the first one that fails past the backend's own retry budget, or
+	// that the backend rejects, stops every worker and ends the build
+	// with Result.Err. Nothing is re-executed inside the build; a caller
+	// that wants a result retries the whole build under a fresh session,
+	// never the failed build's, whose late accumulates may still land.
 	Backend func(grid *dist.Grid2D, stats *dist.RunStats) (gaD, gaF dist.Backend, cleanup func(), err error)
 
 	// Trace, when non-nil, records per-worker activity spans (prefetch,
 	// ERI compute, flush, steal, idle scans) against the build's start
-	// time, renderable with Trace.Timeline. Spans of fenced incarnations
-	// are marked discarded after the run. Nil disables span recording.
+	// time, renderable with Trace.Timeline. A worker publishes its spans
+	// when its flush lands. Nil disables span recording.
 	Trace *dist.Trace
 	// Metrics, when non-nil, collects per-worker histograms and counters
-	// (task service time, steal latency, Get/Acc traffic, retries, lease
-	// renewals). Samples follow merge-on-commit semantics: a fenced or
-	// crashed incarnation's uncommitted sample is discarded, never merged,
-	// so the registry counts each task exactly once — mirroring the epoch
-	// fence on the F accumulate. Nil disables collection.
+	// (task service time, steal latency, Get/Acc traffic, retries). A
+	// worker merges its sample when its flush lands, so a failed build
+	// leaves the failed workers' samples out. Nil disables collection.
 	Metrics *metrics.Registry
 }
 
@@ -119,10 +88,9 @@ type Result struct {
 	// Wall is the wall-clock duration of the parallel section.
 	Wall time.Duration
 	// Err is non-nil when the build could not produce a correct G: the
-	// external backend failed to initialize, or recovery exhausted its
-	// rounds against a transport that never healed. In-process builds
-	// (Options.Backend nil) never set it — the injector disarm valve
-	// guarantees completion.
+	// external backend failed to initialize, one of its operations failed
+	// or was rejected, or Options.Ctx was canceled. G is nil then.
+	// In-process builds without a Ctx never set it.
 	Err error
 }
 
@@ -131,12 +99,9 @@ type Result struct {
 // partitioning, D prefetch, local F accumulation, and distributed work
 // stealing. The density d must be symmetric.
 //
-// With opt.Fault set, the build additionally survives injected worker
-// crashes, stalls and transport faults: a lease monitor fences dead or
-// wedged workers, their uncommitted task blocks are re-enqueued for
-// survivors (or for respawned workers in a follow-up round), and epoch
-// fencing on the F accumulate guarantees exactly-once accumulation, so
-// the recovered G is bit-for-bit within the serial oracle's tolerance.
+// Like the paper's algorithm, a build has no recovery of its own: over
+// an external backend the first failed operation ends it with
+// Result.Err (see Options.Backend).
 func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) Result {
 	if opt.Prow <= 0 {
 		opt.Prow = 1
@@ -204,139 +169,53 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 		}
 	}
 
-	// Fault-tolerant runtime: lease ledger, epoch fence, transport hook.
-	// An external backend always runs leased — its transport can fail
-	// even without an injector, and the lease machinery is what turns a
-	// lost peer into re-enqueued work instead of a wrong answer.
-	var led *ledger
-	if opt.Fault != nil || opt.Backend != nil {
-		if opt.LeaseTTL <= 0 {
-			opt.LeaseTTL = time.Second
+	// A build that can stop early (cancellation, or an external backend
+	// whose operations can fail) shares one context whose cause is the
+	// first worker's failure: the others see it between tasks and in
+	// their retry sleeps, and stop. The plain in-process build has none.
+	var ctx context.Context
+	fail := func(error) {}
+	if opt.Ctx != nil || opt.Backend != nil {
+		base := opt.Ctx
+		if base == nil {
+			base = context.Background()
 		}
-		if opt.RetryAttempts <= 0 {
-			opt.RetryAttempts = 4
-		}
-		if opt.RetryBackoff <= 0 {
-			opt.RetryBackoff = time.Millisecond
-		}
-		if opt.RetryWallCap <= 0 {
-			opt.RetryWallCap = 10 * time.Second
-		}
-		if opt.MaxFaultRounds <= 0 {
-			opt.MaxFaultRounds = 8
-		}
-		led = newLedger(nprocs, opt.LeaseTTL, stats)
-		gaF.SetFence(led)
-	}
-	if opt.Fault != nil {
-		// The in-process arrays consult the injector through the op hook;
-		// the net backend injects at its conn layer instead (and an
-		// injector handed to it via netga.Config, not here).
-		hook := func(proc int, op dist.OpKind) (time.Duration, bool) {
-			return opt.Fault.OpFault(proc, mapOpKind(op))
-		}
-		if g, ok := gaD.(*dist.GlobalArray); ok {
-			g.SetOpHook(hook)
-		}
-		if g, ok := gaF.(*dist.GlobalArray); ok {
-			g.SetOpHook(hook)
-		}
+		var cancel context.CancelCauseFunc
+		ctx, cancel = context.WithCancelCause(base)
+		defer cancel(nil)
+		fail = cancel
 	}
 
-	var buildErr error
 	start := time.Now()
-	for round := 0; ; round++ {
-		roundBlocks := blocks
-		if round > 0 {
-			// Respawn rounds start with empty queues; all remaining work
-			// comes from the orphan pool.
-			roundBlocks = nil
-			for pid := range queues {
-				queues[pid] = NewQueue(TaskBlock{})
-			}
+	dist.RunProcs(nprocs, func(rank int) {
+		w := newWorker(rank, bs, scr, pt, grid, gaD, gaF, stats, opt)
+		w.ctx = ctx
+		w.fallible = opt.Backend != nil
+		w.clock0 = start
+		if err := w.run(blocks[rank], queues, opt); err != nil {
+			fail(err)
 		}
-		var stopMon func()
-		var epochs []int64
-		if led != nil {
-			// Register every incarnation and claim the static partition
-			// BEFORE any worker goroutine starts: a fast thief may steal
-			// from a victim's queue before the victim's goroutine runs, and
-			// the claim transfer needs the victim's claim to already exist
-			// — otherwise the same tasks end up both orphaned and claimed,
-			// breaking exactly-once.
-			epochs = make([]int64, nprocs)
-			for r := 0; r < nprocs; r++ {
-				epochs[r] = led.register(r)
-			}
-			if round == 0 {
-				for pid, b := range blocks {
-					led.claim(pid, epochs[pid], b)
-				}
-			}
-			led.beginRound(queues)
-			stopMon = startMonitor(led, opt.MonitorEvery)
-		}
-		dist.RunProcs(nprocs, func(rank int) {
-			w := newWorker(rank, bs, scr, pt, grid, gaD, gaF, stats, opt)
-			w.led = led
-			w.clock0 = start
-			if led != nil {
-				w.epoch = epochs[rank]
-			}
-			w.run(roundBlocks, queues, opt)
-		})
-		if stopMon != nil {
-			stopMon()
-		}
-		// Per-queue atomic-operation accounting (Sec. IV-C), accumulated
-		// across recovery rounds.
-		for pid, q := range queues {
-			stats.Per[pid].QueueOps += q.Ops
-		}
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			// Canceled builds never respawn: whatever the workers abandoned
-			// stays unfinished, and the caller sees the cause, not a wrong G.
-			buildErr = fmt.Errorf("core: build canceled: %w", context.Cause(opt.Ctx))
-			break
-		}
-		if led == nil || !led.sweep() {
-			break
-		}
-		atomic.AddInt64(&stats.Recovery.Rounds, 1)
-		if round+1 >= opt.MaxFaultRounds {
-			if opt.Fault != nil && opt.Fault.Armed() {
-				// Too many faulty rounds: finish the tail failure-free.
-				opt.Fault.Disarm()
-			} else if round+1 >= 2*opt.MaxFaultRounds {
-				// Real (non-injected) transport faults cannot be disarmed.
-				// Give up rather than respawn forever against a peer that
-				// never heals; the caller sees the failure, not a wrong G.
-				buildErr = fmt.Errorf("core: %d blocks unrecovered after %d recovery rounds: transport never healed",
-					led.orphanCount(), round+1)
-				break
-			}
-		}
-	}
+	})
 	wall := time.Since(start)
-
-	// Fenced incarnations' uncommitted spans were published under their
-	// epoch; mark them discarded so duration accounting excludes them.
-	if led != nil && opt.Trace != nil {
-		for _, fe := range led.fencedEpochs() {
-			opt.Trace.Discard(fe.rank, fe.epoch)
-		}
+	// Per-queue atomic-operation accounting (Sec. IV-C).
+	for pid, q := range queues {
+		stats.Per[pid].QueueOps = q.Ops
+	}
+	switch {
+	case opt.Ctx != nil && opt.Ctx.Err() != nil:
+		return Result{Stats: stats, Wall: wall,
+			Err: fmt.Errorf("core: build canceled: %w", context.Cause(opt.Ctx))}
+	case ctx != nil && ctx.Err() != nil:
+		return Result{Stats: stats, Wall: wall, Err: context.Cause(ctx)}
 	}
 
-	g2e, gerr := toMatrix(gaF)
-	if gerr != nil {
-		if buildErr == nil {
-			buildErr = fmt.Errorf("core: gather G: %w", gerr)
-		}
-		return Result{Stats: stats, Wall: wall, Err: buildErr}
+	g2e, err := toMatrix(gaF)
+	if err != nil {
+		return Result{Stats: stats, Wall: wall, Err: fmt.Errorf("core: gather G: %w", err)}
 	}
 	g := g2e.Clone()
 	g.AXPY(1, g2e.T()) // G = acc + acc^T completes the 8-fold symmetry
-	return Result{G: g, Stats: stats, Wall: wall, Err: buildErr}
+	return Result{G: g, Stats: stats, Wall: wall}
 }
 
 // loadMatrix and toMatrix prefer a backend's error-returning bulk ops
@@ -360,18 +239,6 @@ func toMatrix(ga dist.Backend) (*linalg.Matrix, error) {
 		return g.ToMatrixErr()
 	}
 	return ga.ToMatrix(), nil
-}
-
-// mapOpKind translates the dist op taxonomy into the injector's.
-func mapOpKind(op dist.OpKind) fault.Op {
-	switch op {
-	case dist.OpPut:
-		return fault.OpPut
-	case dist.OpAcc:
-		return fault.OpAcc
-	default:
-		return fault.OpGet
-	}
 }
 
 // Grid returns the function-level block distribution a prow x pcol Build
@@ -441,30 +308,20 @@ type worker struct {
 	recVisit    func(k int, batch []float64)
 	replayVisit func(q integrals.Quartet, p, qq int32, vals []float64)
 
-	// Fault-tolerant runtime state (nil led = plain fast path).
-	ctx           context.Context // build cancellation (nil = never canceled)
-	led           *ledger
-	inj           *fault.Injector
-	epoch         int64
-	victims       map[int]bool
-	fallible      bool // backend ops can fail: use the retrying wrappers
-	retryAttempts int
-	retryBackoff  time.Duration
-	retryWallCap  time.Duration
+	victims map[int]bool // distinct ranks stolen from
+
+	// Failure handling (both unset on the plain in-process path).
+	ctx      context.Context // build context: canceled by Options.Ctx or the first failed worker
+	fallible bool            // external backend: use the error-returning ops
 
 	// Observability sinks (both nil = zero-instrumentation fast path).
-	// Spans and the metric sample buffer one commit episode and are
-	// published together with the flush: committed via commitEpisode,
-	// or via abortEpisode when the incarnation dies uncommitted.
+	// Spans and the metric sample are buffered for the whole build and
+	// published when the worker's flush lands (publish).
 	trace  *dist.Trace
 	reg    *metrics.Registry
 	clock0 time.Time
 	samp   metrics.Sample
 	spans  []dist.Span
-
-	// Last-seen engine dispatch counters, so per-task deltas can flow
-	// into the sample (engine Stats are monotonic across episodes).
-	lastFastSP, lastFastGen, lastGeneral int64
 }
 
 func newWorker(rank int, bs *basis.Set, scr *screen.Screening, pt *integrals.PairTable,
@@ -475,20 +332,17 @@ func newWorker(rank int, bs *basis.Set, scr *screen.Screening, pt *integrals.Pai
 	w := &worker{
 		rank: rank, bs: bs, scr: scr, grid: grid,
 		gaD: gaD, gaF: gaF, stats: stats, eng: eng,
-		pt:       pt,
-		dscreen:  opt.DensityScreen,
-		store:    opt.ERIStore,
-		ns:       bs.NumShells(),
-		dloc:     make([]float64, bs.NumFuncs*bs.NumFuncs),
-		floc:     make([]float64, bs.NumFuncs*bs.NumFuncs),
-		fp:       NewFootprint(),
-		nf:       bs.NumFuncs,
-		ctx:      opt.Ctx,
-		inj:      opt.Fault,
-		fallible: gaD.Fallible() || gaF.Fallible(),
-		victims:  map[int]bool{},
-		trace:    opt.Trace,
-		reg:      opt.Metrics,
+		pt:      pt,
+		dscreen: opt.DensityScreen,
+		store:   opt.ERIStore,
+		ns:      bs.NumShells(),
+		dloc:    make([]float64, bs.NumFuncs*bs.NumFuncs),
+		floc:    make([]float64, bs.NumFuncs*bs.NumFuncs),
+		fp:      NewFootprint(),
+		nf:      bs.NumFuncs,
+		victims: map[int]bool{},
+		trace:   opt.Trace,
+		reg:     opt.Metrics,
 	}
 	w.visit = func(k int, batch []float64) {
 		pq := w.bmeta[k]
@@ -520,21 +374,6 @@ func (w *worker) applyStored(bra, ket integrals.PairID, p, q int32, vals []float
 	ApplyQuartet(w.bs, w.dloc, w.floc, w.curM, int(p), w.curN, int(q), vals)
 }
 
-// opCtx returns the deadline context bounding one retried operation's
-// total wall time (Options.RetryWallCap), derived from the build context
-// so a job-level cancellation also aborts an in-flight retry loop (the
-// accumulate path honors it only before its point of no return).
-func (w *worker) opCtx() (context.Context, context.CancelFunc) {
-	base := w.ctx
-	if base == nil {
-		base = context.Background()
-	}
-	if w.retryWallCap <= 0 {
-		return base, func() {}
-	}
-	return context.WithTimeout(base, w.retryWallCap)
-}
-
 // obsNow reads the clock only when an observability sink is attached; the
 // zero time tells observation sites downstream to skip themselves, so the
 // disabled path costs one branch per site and no clock reads.
@@ -546,7 +385,7 @@ func (w *worker) obsNow() time.Time {
 }
 
 // span buffers one activity interval [t0, now); no-op when tracing is off
-// or t0 is the disabled sentinel. The epoch is stamped at publish time.
+// or t0 is the disabled sentinel.
 func (w *worker) span(kind byte, t0 time.Time) {
 	if w.trace == nil || t0.IsZero() {
 		return
@@ -559,55 +398,13 @@ func (w *worker) span(kind byte, t0 time.Time) {
 	})
 }
 
-// commitEpisode publishes the episode's observability buffers as part of
-// the committed record. Committed spans carry epoch 0, which is never
-// fenced (live epochs start at 1), so a later fence of this worker's
-// incarnation does not retroactively discard work that already landed.
-func (w *worker) commitEpisode() {
-	if len(w.spans) > 0 {
-		for i := range w.spans {
-			w.spans[i].Epoch = 0
-		}
-		w.trace.AddSpans(w.spans)
-		w.spans = w.spans[:0]
-	}
-	if w.reg != nil {
-		w.reg.Merge(w.rank, &w.samp)
-		w.samp.Reset()
-	}
-}
-
-// abortEpisode publishes buffered spans under this incarnation's epoch —
-// Build marks them discarded once the ledger reports the fence — and
-// drops the uncommitted metric sample. No-op after a commitEpisode, so it
-// is safe to run deferred on every worker exit.
-func (w *worker) abortEpisode() {
-	if len(w.spans) > 0 {
-		for i := range w.spans {
-			w.spans[i].Epoch = w.epoch
-		}
-		w.trace.AddSpans(w.spans)
-		w.spans = w.spans[:0]
-	}
-	w.reg.Discard(&w.samp)
-	w.samp.Reset()
-}
-
-// heartbeat refreshes this worker's lease.
-func (w *worker) heartbeat() {
-	if w.led != nil {
-		w.led.heartbeat(w.rank)
-		w.samp.LeaseRenewals++
-	}
-}
-
 // fetchFootprint Gets the D patches of fp into dloc, one call per row
-// shell per owner column (the transfer granularity of Sec. III-D). Under
-// fault injection the Gets retry with backoff; false means an op
-// ultimately failed and the caller must abandon this incarnation.
-func (w *worker) fetchFootprint(fp *Footprint) bool {
-	retry := w.fallible
+// shell per owner column (the transfer granularity of Sec. III-D). Over
+// an external backend each Get retries within the backend's budget; an
+// error means the build cannot complete.
+func (w *worker) fetchFootprint(fp *Footprint) error {
 	t0 := w.obsNow()
+	defer w.span(dist.SpanPrefetch, t0)
 	for _, m := range fp.Rows() {
 		lo, hi, _ := fp.Span(m)
 		r0 := w.bs.Offsets[m]
@@ -617,63 +414,38 @@ func (w *worker) fetchFootprint(fp *Footprint) bool {
 		for _, p := range w.grid.Patches(r0, r1, c0, c1) {
 			w.samp.GetCalls++
 			w.samp.GetBytes += 8 * int64(p.R1-p.R0) * int64(p.C1-p.C0)
-			if !retry {
-				w.gaD.Get(w.rank, p.R0, p.R1, p.C0, p.C1,
-					w.dloc[p.R0*w.nf+p.C0:], w.nf)
+			dst := w.dloc[p.R0*w.nf+p.C0:]
+			if !w.fallible {
+				w.gaD.Get(w.rank, p.R0, p.R1, p.C0, p.C1, dst, w.nf)
 				continue
 			}
-			w.heartbeat()
-			ctx, cancel := w.opCtx()
-			retries, err := w.gaD.GetRetry(ctx, w.retryAttempts, w.retryBackoff,
-				w.rank, p.R0, p.R1, p.C0, p.C1,
-				w.dloc[p.R0*w.nf+p.C0:], w.nf)
-			cancel()
+			retries, err := w.gaD.GetRetry(w.ctx, 0, 0, w.rank, p.R0, p.R1, p.C0, p.C1, dst, w.nf)
 			w.samp.GetRetries += int64(retries)
 			if err != nil {
-				w.span(dist.SpanPrefetch, t0)
-				return false
+				return fmt.Errorf("core: rank %d: get D: %w", w.rank, err)
 			}
 		}
 	}
-	w.span(dist.SpanPrefetch, t0)
-	return true
+	return nil
 }
 
-// addWork merges block b into the worker's flush footprint after
-// prefetching the D patches b needs.
-func (w *worker) addWork(b TaskBlock) bool {
+// addWork prefetches the D patches block b needs and merges b into the
+// worker's flush footprint.
+func (w *worker) addWork(b TaskBlock) error {
 	fpb := NewFootprint()
 	fpb.AddBlock(w.scr, b)
-	if !w.fetchFootprint(fpb) {
-		return false
+	if err := w.fetchFootprint(fpb); err != nil {
+		return err
 	}
 	w.fp.AddBlock(w.scr, b)
-	return true
-}
-
-// resetAccum clears the flushed local F contributions so a follow-up
-// episode (adopted orphan work) accumulates from zero.
-func (w *worker) resetAccum() {
-	for _, m := range w.fp.Rows() {
-		lo, hi, _ := w.fp.Span(m)
-		r0 := w.bs.Offsets[m]
-		r1 := r0 + w.bs.ShellFuncs(m)
-		c0 := w.bs.Offsets[lo]
-		c1 := w.bs.Offsets[hi] + w.bs.ShellFuncs(hi)
-		for r := r0; r < r1; r++ {
-			row := w.floc[r*w.nf+c0 : r*w.nf+c1]
-			for i := range row {
-				row[i] = 0
-			}
-		}
-	}
-	w.fp = NewFootprint()
+	return nil
 }
 
 // flush accumulates the local F contributions back to the distributed F,
-// over the merged footprint spans (Algorithm 4, line 9). Plain fast path
-// (no fencing, no faults).
-func (w *worker) flush() {
+// over the merged footprint spans (Algorithm 4, line 9). Over an
+// external backend each accumulate lands exactly once within the
+// session (idempotency tokens) or fails the build.
+func (w *worker) flush() error {
 	for _, m := range w.fp.Rows() {
 		lo, hi, _ := w.fp.Span(m)
 		r0 := w.bs.Offsets[m]
@@ -683,169 +455,85 @@ func (w *worker) flush() {
 		for _, p := range w.grid.Patches(r0, r1, c0, c1) {
 			w.samp.AccCalls++
 			w.samp.AccBytes += 8 * int64(p.R1-p.R0) * int64(p.C1-p.C0)
-			w.gaF.Acc(w.rank, p.R0, p.R1, p.C0, p.C1,
-				w.floc[p.R0*w.nf+p.C0:], w.nf, 1)
-		}
-	}
-}
-
-// commitFlush lands the local F contributions exactly once. Under the
-// ledger it is a fenced transaction: beginCommit validates this
-// incarnation's epoch (a fenced zombie's flush is discarded here) and
-// endCommit marks the claimed blocks done; the monitor never fences a
-// committing worker, so the transaction is atomic w.r.t. recovery.
-func (w *worker) commitFlush() bool {
-	t0 := w.obsNow()
-	if w.led == nil {
-		w.flush()
-		w.finishFlush(t0)
-		return true
-	}
-	if !w.led.beginCommit(w.rank, w.epoch) {
-		atomic.AddInt64(&w.stats.Recovery.FencedFlushes, 1)
-		return false
-	}
-	// The first patch is the commit's point of no return: until it lands,
-	// a retry deadline abandons the flush cleanly (abortCommit keeps the
-	// claims for exactly-once re-execution elsewhere); once anything has
-	// landed, retries are unbounded — the monitor cannot fence a
-	// committing worker, so the only exit is landing every patch.
-	landed := false
-	for _, m := range w.fp.Rows() {
-		lo, hi, _ := w.fp.Span(m)
-		r0 := w.bs.Offsets[m]
-		r1 := r0 + w.bs.ShellFuncs(m)
-		c0 := w.bs.Offsets[lo]
-		c1 := w.bs.Offsets[hi] + w.bs.ShellFuncs(hi)
-		for _, p := range w.grid.Patches(r0, r1, c0, c1) {
-			w.samp.AccCalls++
-			w.samp.AccBytes += 8 * int64(p.R1-p.R0) * int64(p.C1-p.C0)
-			ctx := context.Background()
-			cancel := func() {}
-			if !landed {
-				ctx, cancel = w.opCtx()
+			src := w.floc[p.R0*w.nf+p.C0:]
+			if !w.fallible {
+				w.gaF.Acc(w.rank, p.R0, p.R1, p.C0, p.C1, src, w.nf, 1)
+				continue
 			}
-			retries, err := w.gaF.AccFencedRetry(ctx, w.retryBackoff, w.rank, w.epoch,
-				p.R0, p.R1, p.C0, p.C1, w.floc[p.R0*w.nf+p.C0:], w.nf, 1)
-			cancel()
+			retries, err := w.gaF.AccFencedRetry(w.ctx, 0, w.rank, 0, p.R0, p.R1, p.C0, p.C1, src, w.nf, 1)
 			w.samp.AccRetries += int64(retries)
 			if err != nil {
-				// Only reachable before the first landed patch (deadline),
-				// or as a defensive catch for an impossible mid-commit
-				// fence: nothing of this flush is in the global F.
-				w.led.abortCommit(w.rank)
-				atomic.AddInt64(&w.stats.Recovery.Aborts, 1)
-				return false
+				return fmt.Errorf("core: rank %d: accumulate F: %w", w.rank, err)
 			}
-			landed = true
 		}
 	}
-	w.led.endCommit(w.rank)
-	w.finishFlush(t0)
-	return true
+	return nil
 }
 
-// finishFlush observes the flush that just landed and publishes the
-// episode's buffers as committed.
-func (w *worker) finishFlush(t0 time.Time) {
-	if !t0.IsZero() {
-		w.samp.Flushes.Observe(time.Since(t0).Nanoseconds())
-		w.span(dist.SpanFlush, t0)
+// publish hands the worker's buffered spans and metric sample, with the
+// ERI dispatch split of its engine (fresh per build), to the build's
+// sinks once its flush has landed.
+func (w *worker) publish() {
+	w.trace.AddSpans(w.spans)
+	if w.reg != nil {
+		es := &w.eng.Stats
+		w.samp.QuartetsFastSP, w.samp.QuartetsFastGen, w.samp.QuartetsGeneral =
+			es.FastSP, es.FastGen, es.GeneralQuartets
+		w.reg.Merge(w.rank, &w.samp)
 	}
-	w.commitEpisode()
 }
 
-type drainResult int
-
-const (
-	drainDry       drainResult = iota // no reachable work anywhere
-	drainFenced                       // this incarnation was declared dead
-	drainAbandoned                    // a prefetch op failed after retries
-)
-
-// drain is the inner loop of Algorithm 4: pop own tasks, steal, and (in
-// fault mode) adopt orphaned blocks of fenced workers, until nothing is
-// reachable.
-func (w *worker) drain(my *Queue, queues []*Queue, opt Options, st *dist.ProcStats) drainResult {
+// steal scans the grid row-wise starting from the worker's own row for a
+// victim with stealable work (Sec. III-F).
+func (w *worker) steal(queues []*Queue, opt Options) (victim int, blk TaskBlock, ok bool) {
 	myRow := w.rank / opt.Pcol
-	for {
-		if w.led != nil && !w.led.valid(w.rank, w.epoch) {
-			return drainFenced
+	for r := 0; r < opt.Prow; r++ {
+		row := (myRow + r) % opt.Prow
+		for c := 0; c < opt.Pcol; c++ {
+			v := row*opt.Pcol + c
+			if v == w.rank {
+				continue
+			}
+			if blk, ok := queues[v].Steal(); ok {
+				return v, blk, true
+			}
 		}
+	}
+	return 0, TaskBlock{}, false
+}
+
+// drain is the inner loop of Algorithm 4: pop own tasks and steal until
+// nothing is reachable.
+func (w *worker) drain(my *Queue, queues []*Queue, opt Options, st *dist.ProcStats) error {
+	for {
 		if w.ctx != nil && w.ctx.Err() != nil {
-			// Job-level cancellation: abandon between tasks, exactly like a
-			// prefetch failure — claimed blocks stay with the ledger, and
-			// Build's round loop turns the cancellation into Result.Err.
-			return drainAbandoned
+			// Cancellation, or another worker failed: stop between tasks.
+			return context.Cause(w.ctx)
 		}
 		t, ok := my.Pop()
 		if !ok {
-			// Work stealing (Sec. III-F): scan the grid row-wise starting
-			// from our own row.
 			s0 := w.obsNow()
-			stole := false
-			for r := 0; r < opt.Prow && !stole; r++ {
-				row := (myRow + r) % opt.Prow
-				for c := 0; c < opt.Pcol && !stole; c++ {
-					v := row*opt.Pcol + c
-					if v == w.rank {
-						continue
-					}
-					var blk TaskBlock
-					var ok bool
-					if w.led != nil {
-						// Atomic steal + claim transfer; see ledger.steal.
-						blk, ok = w.led.steal(v, w.rank, w.epoch, queues[v])
-					} else {
-						blk, ok = queues[v].Steal()
-					}
-					if !ok {
-						continue
-					}
-					if !s0.IsZero() {
-						w.samp.Steals.Observe(time.Since(s0).Nanoseconds())
-						w.span(dist.SpanSteal, s0)
-					}
-					fpSteal := NewFootprint()
-					fpSteal.AddBlock(w.scr, blk)
-					if !w.fetchFootprint(fpSteal) {
-						return drainAbandoned
-					}
-					w.fp.AddBlock(w.scr, blk)
-					my.AddBlock(blk)
-					if !w.victims[v] {
-						w.victims[v] = true
-						st.Victims++
-					}
-					st.Steals++
-					stole = true
-				}
-			}
+			v, blk, stole := w.steal(queues, opt)
 			if !stole {
 				// A scan that found nothing anywhere is idle time.
 				w.samp.StealFails++
 				w.span(dist.SpanIdle, s0)
+				return nil
 			}
-			if !stole && w.led != nil {
-				if blk, ok := w.led.adopt(w.rank, w.epoch); ok {
-					if !w.addWork(blk) {
-						return drainAbandoned
-					}
-					my.AddBlock(blk)
-					continue
-				}
+			if !s0.IsZero() {
+				w.samp.Steals.Observe(time.Since(s0).Nanoseconds())
+				w.span(dist.SpanSteal, s0)
 			}
-			if !stole {
-				return drainDry
+			if err := w.addWork(blk); err != nil {
+				return err
 			}
+			my.AddBlock(blk)
+			if !w.victims[v] {
+				w.victims[v] = true
+				st.Victims++
+			}
+			st.Steals++
 			continue
-		}
-		w.heartbeat()
-		if w.inj != nil {
-			if d := w.inj.Stall(w.rank); d > 0 {
-				atomic.AddInt64(&w.stats.Recovery.Stalls, 1)
-				time.Sleep(d)
-			}
 		}
 		c0 := time.Now()
 		w.doTask(t)
@@ -853,87 +541,40 @@ func (w *worker) drain(my *Queue, queues []*Queue, opt Options, st *dist.ProcSta
 		w.comp += dt
 		if w.reg != nil {
 			w.samp.Tasks.Observe(dt.Nanoseconds())
-			es := &w.eng.Stats
-			w.samp.QuartetsFastSP += es.FastSP - w.lastFastSP
-			w.samp.QuartetsFastGen += es.FastGen - w.lastFastGen
-			w.samp.QuartetsGeneral += es.GeneralQuartets - w.lastGeneral
-			w.lastFastSP, w.lastFastGen, w.lastGeneral =
-				es.FastSP, es.FastGen, es.GeneralQuartets
 		}
 		w.span(dist.SpanCompute, c0)
 		st.TasksRun++
 	}
 }
 
-// run is Algorithm 4 with recovery: prefetch, drain own queue, steal and
-// adopt until nothing remains, then flush as a fenced commit; repeat for
-// orphaned work that appears after the commit. A return without a commit
-// (injected crash, fencing, abandoned op) leaves this incarnation's
-// claimed blocks to the monitor/sweep for re-execution elsewhere.
-func (w *worker) run(blocks []TaskBlock, queues []*Queue, opt Options) {
+// run is Algorithm 4 for one process: prefetch its static block, drain
+// its own queue and steal until nothing remains, then flush once. The
+// first failed operation ends the worker with that error.
+func (w *worker) run(block TaskBlock, queues []*Queue, opt Options) error {
 	t0 := time.Now()
 	st := &w.stats.Per[w.rank]
 	defer func() {
 		st.ComputeTime += w.comp.Seconds()
 		st.TotalTime += time.Since(t0).Seconds()
 	}()
-	// Any episode still buffered at exit never committed (commitEpisode
-	// empties the buffers); publish it as discardable.
-	defer w.abortEpisode()
-	w.retryAttempts = opt.RetryAttempts
-	w.retryBackoff = opt.RetryBackoff
-	w.retryWallCap = opt.RetryWallCap
-
-	my := queues[w.rank]
-	if blocks != nil && !blocks[w.rank].Empty() {
-		// The initial block was claimed by Build before this goroutine
-		// started (w.epoch was assigned there too); only prefetch here.
-		if !w.addWork(blocks[w.rank]) {
-			atomic.AddInt64(&w.stats.Recovery.Aborts, 1)
-			return
+	if !block.Empty() {
+		if err := w.addWork(block); err != nil {
+			return err
 		}
 	}
-
-	for {
-		switch w.drain(my, queues, opt, st) {
-		case drainAbandoned:
-			atomic.AddInt64(&w.stats.Recovery.Aborts, 1)
-			return
-		case drainFenced:
-			// Late flush of a zombie: must be (and is) discarded.
-			w.commitFlush()
-			return
-		}
-		if w.inj != nil && w.inj.Crash(w.rank, fault.PointBeforeFlush) {
-			atomic.AddInt64(&w.stats.Recovery.Crashes, 1)
-			return
-		}
-		if !w.commitFlush() {
-			return
-		}
-		// Between rounds the worker is idle: cap engine scratch that an
-		// unusually large quartet class may have grown (default budget).
-		w.eng.TrimScratch(0)
-		if w.inj != nil && w.inj.Crash(w.rank, fault.PointAfterFlush) {
-			atomic.AddInt64(&w.stats.Recovery.Crashes, 1)
-			return
-		}
-		if w.led == nil {
-			return
-		}
-		// Recovery work: adopt one orphaned block and run another episode
-		// with a fresh local accumulator.
-		blk, ok := w.led.adopt(w.rank, w.epoch)
-		if !ok {
-			return
-		}
-		w.resetAccum()
-		if !w.addWork(blk) {
-			atomic.AddInt64(&w.stats.Recovery.Aborts, 1)
-			return
-		}
-		my.AddBlock(blk)
+	if err := w.drain(queues[w.rank], queues, opt, st); err != nil {
+		return err
 	}
+	f0 := w.obsNow()
+	if err := w.flush(); err != nil {
+		return err
+	}
+	if !f0.IsZero() {
+		w.samp.Flushes.Observe(time.Since(f0).Nanoseconds())
+		w.span(dist.SpanFlush, f0)
+	}
+	w.publish()
+	return nil
 }
 
 // doTask is Algorithm 3 in batched form: collect the unique, screened

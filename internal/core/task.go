@@ -58,7 +58,6 @@ func (b TaskBlock) Empty() bool { return b.R0 >= b.R1 || b.C0 >= b.C1 }
 type Queue struct {
 	mu     sync.Mutex
 	blocks []TaskBlock
-	closed bool
 	// cursor walks the front block in row-major task order.
 	cur      Task
 	curSet   bool
@@ -80,9 +79,6 @@ func (q *Queue) Pop() (Task, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.Ops++
-	if q.closed {
-		return Task{}, false
-	}
 	for len(q.blocks) > 0 {
 		b := &q.blocks[0]
 		if b.Empty() {
@@ -121,7 +117,7 @@ func (q *Queue) AddBlock(b TaskBlock) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.Ops++
-	if !q.closed && !b.Empty() {
+	if !b.Empty() {
 		q.blocks = append(q.blocks, b)
 	}
 }
@@ -140,9 +136,6 @@ func (q *Queue) Steal() (TaskBlock, bool) {
 	defer q.mu.Unlock()
 	q.Ops++
 	q.StealOps++
-	if q.closed {
-		return TaskBlock{}, false
-	}
 	for i := len(q.blocks) - 1; i >= 0; i-- {
 		b := &q.blocks[i]
 		// The owner's cursor walks the first row of the front block (Pop
@@ -200,17 +193,4 @@ func (q *Queue) Remaining() int {
 		n -= q.cur.N - q.blocks[0].C0
 	}
 	return n
-}
-
-// Close confiscates the queue: all remaining blocks are dropped and
-// every later Pop/Steal/AddBlock is a no-op. The recovery monitor closes
-// the queue of a fenced worker so its tasks are re-executed only through
-// the orphan pool.
-func (q *Queue) Close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.Ops++
-	q.closed = true
-	q.blocks = nil
-	q.curSet = false
 }

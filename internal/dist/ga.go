@@ -2,45 +2,12 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gtfock/internal/linalg"
 )
-
-// ErrDropped reports a one-sided operation that was lost in transport
-// before being applied (injected fault); the caller may safely retry.
-var ErrDropped = errors.New("dist: one-sided operation dropped")
-
-// ErrFenced reports an accumulate rejected by epoch fencing: the calling
-// process incarnation has been declared dead and its contribution must
-// be discarded, not applied.
-var ErrFenced = errors.New("dist: accumulate fenced (stale epoch)")
-
-// OpKind classifies one-sided operations for the fault hook.
-type OpKind int
-
-const (
-	OpGet OpKind = iota
-	OpPut
-	OpAcc
-)
-
-// OpHook is consulted by the fallible Try*/fenced operations before they
-// apply: delay is slept first, and drop=true fails the operation with
-// ErrDropped without applying it. The infallible Get/Put/Acc never
-// consult the hook, so fault-oblivious code paths are unaffected.
-type OpHook func(proc int, op OpKind) (delay time.Duration, drop bool)
-
-// Fence validates accumulate epochs: AccFenced applies a contribution
-// only while ValidEpoch(proc, epoch) holds, discarding late flushes from
-// zombie process incarnations.
-type Fence interface {
-	ValidEpoch(proc int, epoch int64) bool
-}
 
 // GlobalArray is a shared-memory stand-in for a Global Arrays 2D
 // block-distributed array: goroutine "processes" address it with one-sided
@@ -59,16 +26,7 @@ type GlobalArray struct {
 	data  []float64
 	locks []sync.Mutex // one per owner block
 	stats *RunStats
-	hook  OpHook
-	fence Fence
 }
-
-// SetOpHook installs the fault hook consulted by the fallible
-// operations (TryGet/TryPut/TryAcc/AccFenced).
-func (g *GlobalArray) SetOpHook(h OpHook) { g.hook = h }
-
-// SetFence installs the epoch authority consulted by AccFenced.
-func (g *GlobalArray) SetFence(f Fence) { g.fence = f }
 
 // NewGlobalArray creates a zeroed global array over grid, accounting into
 // stats (which must have grid.NumProcs() entries).
@@ -133,68 +91,6 @@ func (g *GlobalArray) Acc(proc, r0, r1, c0, c1 int, src []float64, ld int, alpha
 	}
 }
 
-// precheck runs the fault hook for one fallible operation: it sleeps any
-// injected delay and, on a drop, charges the wasted call and returns
-// ErrDropped.
-func (g *GlobalArray) precheck(proc int, op OpKind) error {
-	if g.hook == nil {
-		return nil
-	}
-	delay, drop := g.hook(proc, op)
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	if drop {
-		g.stats.Per[proc].Calls++ // the request was issued and lost
-		atomic.AddInt64(&g.stats.Recovery.OpDrops, 1)
-		return ErrDropped
-	}
-	return nil
-}
-
-// TryGet is Get through the fault hook: it may fail with ErrDropped
-// (nothing copied), in which case the caller retries.
-func (g *GlobalArray) TryGet(proc, r0, r1, c0, c1 int, dst []float64, ld int) error {
-	if err := g.precheck(proc, OpGet); err != nil {
-		return err
-	}
-	g.Get(proc, r0, r1, c0, c1, dst, ld)
-	return nil
-}
-
-// TryPut is Put through the fault hook.
-func (g *GlobalArray) TryPut(proc, r0, r1, c0, c1 int, src []float64, ld int) error {
-	if err := g.precheck(proc, OpPut); err != nil {
-		return err
-	}
-	g.Put(proc, r0, r1, c0, c1, src, ld)
-	return nil
-}
-
-// TryAcc is Acc through the fault hook.
-func (g *GlobalArray) TryAcc(proc, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) error {
-	if err := g.precheck(proc, OpAcc); err != nil {
-		return err
-	}
-	g.Acc(proc, r0, r1, c0, c1, src, ld, alpha)
-	return nil
-}
-
-// AccFenced is TryAcc gated by epoch fencing: the contribution is applied
-// only if the installed Fence still considers (proc, epoch) a live
-// incarnation; a stale epoch returns ErrFenced and changes nothing. A
-// drop is reported before the fence so retries re-validate.
-func (g *GlobalArray) AccFenced(proc int, epoch int64, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) error {
-	if err := g.precheck(proc, OpAcc); err != nil {
-		return err
-	}
-	if g.fence != nil && !g.fence.ValidEpoch(proc, epoch) {
-		return ErrFenced
-	}
-	g.Acc(proc, r0, r1, c0, c1, src, ld, alpha)
-	return nil
-}
-
 // maxRetryBackoff caps the exponential backoff of the retry wrappers so
 // a long retry run polls steadily instead of sleeping unboundedly.
 const maxRetryBackoff = time.Second
@@ -240,54 +136,18 @@ func SleepBackoff(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// GetRetry retries TryGet with capped, jittered exponential backoff for
-// up to attempts tries, counting retries in the recovery stats, and
-// abandons early when ctx's deadline expires (bounding the total retry
-// wall time). It returns the number of retries it issued (0 on a clean
-// first attempt, for the caller's per-worker accounting) and the last
-// error when every attempt drops or the deadline passes.
-func (g *GlobalArray) GetRetry(ctx context.Context, attempts int, backoff time.Duration, proc, r0, r1, c0, c1 int, dst []float64, ld int) (int, error) {
-	if attempts <= 0 {
-		attempts = 1
-	}
-	var err error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			atomic.AddInt64(&g.stats.Recovery.OpRetries, 1)
-			if cerr := SleepBackoff(ctx, backoff<<(a-1)); cerr != nil {
-				return a - 1, cerr
-			}
-		}
-		if err = g.TryGet(proc, r0, r1, c0, c1, dst, ld); err == nil {
-			return a, nil
-		}
-	}
-	return attempts - 1, err
+// GetRetry implements Backend: an in-process Get cannot fail, so it
+// copies the patch once and reports no retries.
+func (g *GlobalArray) GetRetry(_ context.Context, _ int, _ time.Duration, proc, r0, r1, c0, c1 int, dst []float64, ld int) (int, error) {
+	g.Get(proc, r0, r1, c0, c1, dst, ld)
+	return 0, nil
 }
 
-// AccFencedRetry retries AccFenced until it applies or is fenced, with
-// capped, jittered exponential backoff between attempts. Drops are
-// retried until ctx expires — with a deadline-free ctx, indefinitely;
-// liveness then holds because the injector bounds consecutive drops —
-// so a commit in progress either lands every patch exactly once, is
-// rejected whole by a stale epoch, or (deadline) reports ctx.Err() to a
-// caller that must still be before its point of no return. The retry
-// count feeds the caller's per-worker accounting.
-func (g *GlobalArray) AccFencedRetry(ctx context.Context, backoff time.Duration, proc int, epoch int64, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) (int, error) {
-	wait := backoff
-	for retries := 0; ; retries++ {
-		err := g.AccFenced(proc, epoch, r0, r1, c0, c1, src, ld, alpha)
-		if err == nil || errors.Is(err, ErrFenced) {
-			return retries, err
-		}
-		atomic.AddInt64(&g.stats.Recovery.OpRetries, 1)
-		if cerr := SleepBackoff(ctx, wait); cerr != nil {
-			return retries, cerr
-		}
-		if wait > 0 && wait < maxRetryBackoff {
-			wait *= 2
-		}
-	}
+// AccFencedRetry implements Backend: an in-process Acc cannot fail, so
+// it accumulates once and reports no retries.
+func (g *GlobalArray) AccFencedRetry(_ context.Context, _ time.Duration, proc int, _ int64, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) (int, error) {
+	g.Acc(proc, r0, r1, c0, c1, src, ld, alpha)
+	return 0, nil
 }
 
 // ToMatrix copies the full array into a dense matrix (no accounting; a

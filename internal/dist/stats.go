@@ -34,33 +34,9 @@ func (s *ProcStats) Add(o ProcStats) {
 	s.TotalTime += o.TotalTime
 }
 
-// RecoveryStats counts fault-tolerance events of a run. Fields are
-// updated with sync/atomic by workers, the lease monitor, and the
-// global-array fault path concurrently; read them after the run joins.
-type RecoveryStats struct {
-	Crashes          int64 // injected worker crashes
-	Stalls           int64 // injected worker stalls
-	Aborts           int64 // workers abandoned after exhausting op retries
-	WorkersFenced    int64 // incarnations declared dead (lease expiry or sweep)
-	BlocksOrphaned   int64 // task blocks confiscated from fenced workers
-	BlocksReassigned int64 // orphaned blocks adopted by surviving workers
-	TasksReassigned  int64 // tasks in those adopted blocks
-	FencedFlushes    int64 // zombie flushes discarded by epoch fencing
-	OpDrops          int64 // one-sided ops lost in transport
-	OpRetries        int64 // retries issued by the reliable op wrappers
-	Rounds           int64 // extra recovery rounds beyond the first
-}
-
-// Any reports whether any recovery event occurred.
-func (r *RecoveryStats) Any() bool {
-	return r.Crashes+r.Stalls+r.Aborts+r.WorkersFenced+r.BlocksOrphaned+
-		r.BlocksReassigned+r.FencedFlushes+r.OpDrops+r.OpRetries+r.Rounds > 0
-}
-
 // RunStats aggregates a whole Fock-build run.
 type RunStats struct {
-	Per      []ProcStats
-	Recovery RecoveryStats
+	Per []ProcStats
 }
 
 // NewRunStats allocates stats for p processes.

@@ -18,16 +18,11 @@ const (
 	SpanRPC      = 'r' // one netga RPC, including its retries (net backend)
 )
 
-// Span is one activity interval of a process. Real-mode spans carry the
-// epoch of the worker incarnation that recorded them; spans of fenced
-// incarnations are marked Discarded after the run — their work never
-// reached the global F, so duration accounting must not count them.
+// Span is one activity interval of a process.
 type Span struct {
 	Proc       int
-	Epoch      int64
 	Start, End float64
 	Kind       byte
-	Discarded  bool
 }
 
 // Trace collects activity spans from a run for post-hoc inspection (an
@@ -39,20 +34,13 @@ type Trace struct {
 	spans []Span
 }
 
-// Add records a span under epoch 0; zero-length and reversed spans are
-// ignored.
+// Add records a span; zero-length and reversed spans are ignored.
 func (t *Trace) Add(proc int, start, end float64, kind byte) {
-	t.AddEpoch(proc, 0, start, end, kind)
-}
-
-// AddEpoch records a span tagged with the recording incarnation's epoch;
-// zero-length and reversed spans are ignored.
-func (t *Trace) AddEpoch(proc int, epoch int64, start, end float64, kind byte) {
 	if t == nil || end <= start {
 		return
 	}
 	t.mu.Lock()
-	t.spans = append(t.spans, Span{Proc: proc, Epoch: epoch, Start: start, End: end, Kind: kind})
+	t.spans = append(t.spans, Span{Proc: proc, Start: start, End: end, Kind: kind})
 	t.mu.Unlock()
 }
 
@@ -69,25 +57,6 @@ func (t *Trace) AddSpans(spans []Span) {
 		}
 	}
 	t.mu.Unlock()
-}
-
-// Discard marks every span recorded by (proc, epoch) as discarded — the
-// incarnation was fenced and its contributions never landed — and
-// returns how many spans it marked.
-func (t *Trace) Discard(proc int, epoch int64) int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for i := range t.spans {
-		if t.spans[i].Proc == proc && t.spans[i].Epoch == epoch && !t.spans[i].Discarded {
-			t.spans[i].Discarded = true
-			n++
-		}
-	}
-	return n
 }
 
 // Spans returns the recorded spans sorted by (proc, start).
@@ -127,9 +96,8 @@ func (t *Trace) Makespan() float64 {
 // Timeline renders an ASCII Gantt chart: one row per process (at most
 // maxRows, sampled evenly), width time buckets, with the latest-recorded
 // span kind shown per bucket ('c' compute, 'm' communication, 'p'
-// prefetch, 'f' flush, 's' steal, '.' idle; discarded spans render as
-// 'x'). Empty or degenerate traces render a placeholder instead of
-// dividing by zero.
+// prefetch, 'f' flush, 's' steal, '.' idle). Empty or degenerate
+// traces render a placeholder instead of dividing by zero.
 func (t *Trace) Timeline(width, maxRows int) string {
 	spans := t.Spans()
 	if len(spans) == 0 || width <= 0 {
@@ -158,21 +126,17 @@ func (t *Trace) Timeline(width, maxRows int) string {
 	}
 	for _, s := range spans {
 		r := rowOf(s.Proc)
-		k := s.Kind
-		if s.Discarded {
-			k = 'x'
-		}
 		b0 := int(s.Start / makespan * float64(width))
 		b1 := int(s.End / makespan * float64(width))
 		if b1 >= width {
 			b1 = width - 1
 		}
 		for b := b0; b <= b1; b++ {
-			grid[r][b] = k
+			grid[r][b] = s.Kind
 		}
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "timeline: %d procs x %.4fs  (c=compute m=comm p=prefetch f=flush s=steal r=rpc .=idle x=discarded)\n",
+	fmt.Fprintf(&sb, "timeline: %d procs x %.4fs  (c=compute m=comm p=prefetch f=flush s=steal r=rpc .=idle)\n",
 		nproc, makespan)
 	for r := range grid {
 		fmt.Fprintf(&sb, "%4d |%s|\n", r*nproc/rows, grid[r])
@@ -180,28 +144,11 @@ func (t *Trace) Timeline(width, maxRows int) string {
 	return sb.String()
 }
 
-// KindTotals sums span durations by kind, excluding discarded spans (a
-// fenced incarnation's activity must not inflate the accounting; see
-// DiscardedTotal for what was thrown away).
+// KindTotals sums span durations by kind.
 func (t *Trace) KindTotals() map[byte]float64 {
 	totals := map[byte]float64{}
 	for _, s := range t.Spans() {
-		if s.Discarded {
-			continue
-		}
 		totals[s.Kind] += s.End - s.Start
 	}
 	return totals
-}
-
-// DiscardedTotal returns the number of discarded spans and their summed
-// duration — work executed by fenced incarnations and re-done elsewhere.
-func (t *Trace) DiscardedTotal() (spans int, seconds float64) {
-	for _, s := range t.Spans() {
-		if s.Discarded {
-			spans++
-			seconds += s.End - s.Start
-		}
-	}
-	return spans, seconds
 }

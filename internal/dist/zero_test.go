@@ -47,34 +47,5 @@ func TestTraceEmptyAndNilAreDefined(t *testing.T) {
 		if tot := tr.KindTotals(); len(tot) != 0 {
 			t.Fatalf("KindTotals = %v on empty trace", tot)
 		}
-		if n, s := tr.DiscardedTotal(); n != 0 || s != 0 {
-			t.Fatalf("DiscardedTotal = %d, %v on empty trace", n, s)
-		}
-	}
-}
-
-// Discard marks exactly the spans of one (proc, epoch) incarnation;
-// totals exclude them and the timeline renders them as 'x'.
-func TestTraceDiscardByEpoch(t *testing.T) {
-	tr := &Trace{}
-	tr.AddEpoch(0, 1, 0, 2, SpanCompute) // fenced incarnation
-	tr.AddEpoch(0, 2, 2, 3, SpanCompute) // its successor
-	tr.AddEpoch(1, 1, 0, 4, SpanCompute) // another rank, same epoch number
-	if n := tr.Discard(0, 1); n != 1 {
-		t.Fatalf("Discard marked %d spans, want 1", n)
-	}
-	if tot := tr.KindTotals(); tot[SpanCompute] != 1+4 {
-		t.Fatalf("KindTotals after discard = %v, want compute 5", tot)
-	}
-	n, secs := tr.DiscardedTotal()
-	if n != 1 || secs != 2 {
-		t.Fatalf("DiscardedTotal = %d, %v; want 1, 2", n, secs)
-	}
-	if out := tr.Timeline(8, 4); !strings.Contains(out, "x") {
-		t.Fatalf("discarded span not rendered:\n%s", out)
-	}
-	// Idempotent.
-	if n := tr.Discard(0, 1); n != 0 {
-		t.Fatalf("second Discard marked %d spans, want 0", n)
 	}
 }

@@ -1,48 +1,21 @@
 // Package fault is a deterministic, seeded fault injector for the
-// real-mode distributed runtime. It models the failure classes a
-// production Fock service must survive (ROADMAP north star): worker
-// crashes around the flush, finite stalls (a wedged process that later
-// wakes up), and transport faults on the one-sided Get/Put/Acc
-// operations (message dropped before application, or delayed).
+// network transport of the real-mode runtime, plus the seeded kill
+// schedules (ServerKillPlan, DaemonKillPlan) the process-kill chaos
+// tests run. The injector models the connection faults a shard fleet
+// sees — resets mid-RPC, duplicated delivery, slow links and partition
+// windows — and the netga client consults it at its conn layer.
 //
 // Every decision is drawn from a per-rank PRNG seeded from Config.Seed,
 // so a given (seed, rank) pair produces the same fault schedule
-// regardless of goroutine interleaving. The injector itself never kills
-// anything: the worker loop in internal/core and the fallible operations
-// of dist.GlobalArray consult it at well-defined points and act on the
-// verdicts. Faults are injected only at those points — in particular a
-// worker can crash before or after its flush transaction but never in
-// the middle of it, which is what makes exactly-once accumulation
-// provable (see DESIGN.md, "Fault model and recovery").
+// regardless of goroutine interleaving. The injector itself never breaks
+// anything: the client acts on its verdicts (see DESIGN.md, "Fault model
+// and recovery").
 package fault
 
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
-)
-
-// Op identifies a one-sided global-array operation class.
-type Op int
-
-const (
-	OpGet Op = iota
-	OpPut
-	OpAcc
-)
-
-// Point identifies a worker lifecycle point where a crash can be
-// injected.
-type Point int
-
-const (
-	// PointBeforeFlush is just before the worker commits its local F
-	// accumulator: everything it computed since the last commit is lost.
-	PointBeforeFlush Point = iota
-	// PointAfterFlush is just after a successful commit: the worker dies
-	// but its work is durable.
-	PointAfterFlush
 )
 
 // Config sets the fault rates. All probabilities are in [0, 1]; zero
@@ -50,34 +23,11 @@ const (
 type Config struct {
 	Seed int64
 
-	// CrashBeforeFlush / CrashAfterFlush are per-flush-attempt crash
-	// probabilities at the two lifecycle points.
-	CrashBeforeFlush float64
-	CrashAfterFlush  float64
-
-	// StallProb stalls the worker for StallFor at a task boundary. A
-	// stall longer than the lease TTL gets the worker fenced: it becomes
-	// a zombie whose eventual flush must be discarded.
-	StallProb float64
-	StallFor  time.Duration
-
-	// DropProb fails a one-sided op before it is applied (the caller
-	// retries); DelayProb sleeps DelayFor before applying it.
-	DropProb  float64
-	DelayProb float64
-	DelayFor  time.Duration
-
-	// MaxConsecutiveDrops bounds the run of consecutive drops injected
-	// against any single rank, so retry loops terminate even at
-	// DropProb = 1. Default 8.
-	MaxConsecutiveDrops int
-
-	// Network fault modes, injected at the conn layer of the netga TCP
-	// transport (internal/net). NetResetProb resets the connection
-	// mid-RPC (the request may or may not have been applied — exactly
-	// what idempotency tokens exist for); NetDupProb delivers the
-	// request frame twice (exercising server-side dedup); NetDelayProb
-	// holds the frame for NetDelayFor (slow link).
+	// NetResetProb resets the connection mid-RPC (the request may or may
+	// not have been applied — exactly what idempotency tokens exist
+	// for); NetDupProb delivers the request frame twice (exercising
+	// server-side dedup); NetDelayProb holds the frame for NetDelayFor
+	// (slow link).
 	NetResetProb float64
 	NetDupProb   float64
 	NetDelayProb float64
@@ -85,9 +35,9 @@ type Config struct {
 
 	// NetPartitionProb opens a partition window of NetPartitionFor
 	// against the rank: every RPC it issues fails fast until the window
-	// closes (the link heals by itself). A window longer than the retry
-	// budget is how a rank "loses its peer" and gets gracefully degraded
-	// out of the build.
+	// closes (the link heals by itself). A window longer than the
+	// client's retry budget fails the build, which its caller retries
+	// under a fresh session.
 	NetPartitionProb float64
 	NetPartitionFor  time.Duration
 
@@ -117,45 +67,26 @@ const (
 
 // Injector draws deterministic fault decisions per rank.
 type Injector struct {
-	cfg   Config
-	armed atomic.Bool
+	cfg Config
 
 	mu        sync.Mutex
 	rngs      map[int]*rand.Rand
-	drops     map[int]int       // consecutive drops injected per rank
 	netRuns   map[int]int       // consecutive net faults injected per rank
 	partUntil map[int]time.Time // open partition window per rank
 }
 
-// New creates an armed injector for cfg.
+// New creates an injector for cfg.
 func New(cfg Config) *Injector {
-	if cfg.MaxConsecutiveDrops <= 0 {
-		cfg.MaxConsecutiveDrops = 8
-	}
 	if cfg.MaxConsecutiveNetFaults <= 0 {
 		cfg.MaxConsecutiveNetFaults = 4
 	}
-	inj := &Injector{
+	return &Injector{
 		cfg:       cfg,
 		rngs:      map[int]*rand.Rand{},
-		drops:     map[int]int{},
 		netRuns:   map[int]int{},
 		partUntil: map[int]time.Time{},
 	}
-	inj.armed.Store(true)
-	return inj
 }
-
-// Disarm makes every subsequent decision a no-fault: the escape hatch the
-// build driver pulls after too many recovery rounds, guaranteeing
-// termination.
-func (inj *Injector) Disarm() { inj.armed.Store(false) }
-
-// Armed reports whether the injector still injects faults.
-func (inj *Injector) Armed() bool { return inj.armed.Load() }
-
-// Config returns the injector's (normalized) configuration.
-func (inj *Injector) Config() Config { return inj.cfg }
 
 // rng returns the per-rank PRNG, creating it deterministically on first
 // use. Callers hold inj.mu.
@@ -171,61 +102,6 @@ func (inj *Injector) rng(rank int) *rand.Rand {
 	return r
 }
 
-// Crash reports whether rank crashes at lifecycle point p.
-func (inj *Injector) Crash(rank int, p Point) bool {
-	if !inj.armed.Load() {
-		return false
-	}
-	prob := inj.cfg.CrashBeforeFlush
-	if p == PointAfterFlush {
-		prob = inj.cfg.CrashAfterFlush
-	}
-	if prob <= 0 {
-		return false
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.rng(rank).Float64() < prob
-}
-
-// Stall returns a stall duration for rank at a task boundary, or 0. The
-// caller performs the sleep (and accounts it).
-func (inj *Injector) Stall(rank int) time.Duration {
-	if !inj.armed.Load() || inj.cfg.StallProb <= 0 || inj.cfg.StallFor <= 0 {
-		return 0
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	if inj.rng(rank).Float64() < inj.cfg.StallProb {
-		return inj.cfg.StallFor
-	}
-	return 0
-}
-
-// OpFault returns the transport verdict for one one-sided operation by
-// rank: an artificial delay to sleep before applying it, and whether the
-// operation is dropped instead of applied. Runs of consecutive drops per
-// rank are capped by MaxConsecutiveDrops so that retries always
-// terminate.
-func (inj *Injector) OpFault(rank int, op Op) (delay time.Duration, drop bool) {
-	if !inj.armed.Load() {
-		return 0, false
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	r := inj.rng(rank)
-	if inj.cfg.DelayProb > 0 && inj.cfg.DelayFor > 0 && r.Float64() < inj.cfg.DelayProb {
-		delay = inj.cfg.DelayFor
-	}
-	if inj.cfg.DropProb > 0 && r.Float64() < inj.cfg.DropProb &&
-		inj.drops[rank] < inj.cfg.MaxConsecutiveDrops {
-		inj.drops[rank]++
-		return delay, true
-	}
-	inj.drops[rank] = 0
-	return delay, false
-}
-
 // NetFault returns the conn-layer verdict for one RPC issued by rank: an
 // artificial delay (slow link) to sleep before sending, and the delivery
 // outcome. An already-open partition window fails the RPC regardless of
@@ -235,9 +111,6 @@ func (inj *Injector) OpFault(rank int, op Op) (delay time.Duration, drop bool) {
 // of failures within any sane retry budget. Duplicated delivery is not a
 // failure from the client's point of view and does not count.
 func (inj *Injector) NetFault(rank int) (delay time.Duration, outcome NetOutcome) {
-	if !inj.armed.Load() {
-		return 0, NetOK
-	}
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	now := time.Now()

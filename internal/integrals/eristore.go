@@ -21,10 +21,11 @@ package integrals
 // recompute — the store is a cache, never a correctness dependency.
 //
 // Exactly-once: entries are committed first-writer-wins through an
-// atomic pointer. Workers re-executing a task after a crash or fence
-// recompute the same deterministic batch (collection order is the
-// PairTable order, the engine is deterministic), so a duplicate commit
-// carries bit-identical data and losing the race is harmless. A
+// atomic pointer. A worker re-executing a task (a rerun of a failed
+// build over the same store) recomputes the same deterministic batch
+// (collection order is the PairTable order, the engine is
+// deterministic), so a duplicate commit carries bit-identical data and
+// losing the race is harmless. A
 // replayed task applies the stored values in the recorded order, so a
 // replayed execution and a recomputed execution commit identical
 // contributions to F.
@@ -127,10 +128,10 @@ func (s *ERIStore) blobKey(task int) uint64 {
 // CommitTask records one task's surviving batch: qs and pq in collection
 // order, ends[k] the exclusive end offset of batch k in vals (as
 // accumulated by the recording visit). All inputs are copied; the caller
-// may reuse its buffers. First writer wins: re-executions after a crash
-// or fence recompute bit-identical data, so duplicates are dropped
-// without comparison. An empty batch (fully screened task) commits an
-// empty entry so replay still hits.
+// may reuse its buffers. First writer wins: a re-execution recomputes
+// bit-identical data, so duplicates are dropped without comparison. An
+// empty batch (fully screened task) commits an empty entry so replay
+// still hits.
 func (s *ERIStore) CommitTask(task int, qs []Quartet, pq [][2]int32, ends []int32, vals []float64) {
 	if s.entries[task].Load() != nil {
 		return

@@ -141,9 +141,9 @@ func (t *PairTable) KeepQuartet(bra, ket PairID, tau float64) bool {
 // block. Called once per SCF iteration — this is the "cached once per
 // iteration instead of recomputed per quartet" quantity density-weighted
 // screening needs. The bounds are computed into a fresh slice and
-// published atomically, so it is safe to call while readers (even
-// stragglers fenced out of a previous build) are still screening — they
-// observe a complete old or new snapshot, never torn values.
+// published atomically, so it is safe to call while readers are still
+// screening — they observe a complete old or new snapshot, never torn
+// values.
 func (t *PairTable) UpdateDensity(d []float64, ld int) {
 	bound := make([]float64, t.n*t.n)
 	bs := t.Basis

@@ -1,17 +1,13 @@
 // Package metrics is the low-overhead measurement layer of the real-mode
 // Fock build: per-worker histograms and counters for the quantities the
 // paper's evaluation is built on (task service time, steal latency,
-// one-sided transfer volume, retries, lease renewals; Sec. IV, Tables
-// V-VIII).
+// one-sided transfer volume, retries; Sec. IV, Tables V-VIII).
 //
-// The collection protocol keeps the counts exactly-once under fault
-// recovery: a worker accumulates into a private Sample (single-writer,
-// no synchronization) and merges it into the shared Registry only when
-// the corresponding work commits to the global F. A fenced or crashed
-// incarnation's sample is dropped — counted in DiscardedSamples but
-// never merged — so a task re-executed after recovery appears exactly
-// once in the merged histograms, mirroring the epoch fence on the
-// accumulate path.
+// A worker accumulates into a private Sample (single-writer, no
+// synchronization) and merges it into the shared Registry only when its
+// flush has landed in the global F, so a completed build's registry
+// counts every task exactly once and a failed worker's sample is never
+// merged.
 package metrics
 
 import (
@@ -143,22 +139,20 @@ func quantile(counts [nbuckets]int64, n int64, q float64) int64 {
 	return 0
 }
 
-// Sample is one worker incarnation's private measurement buffer. It is
-// written by exactly one goroutine and carries no synchronization; merge
-// it into the Registry at commit time, or drop it if the incarnation is
-// fenced.
+// Sample is one worker's private measurement buffer. It is written by
+// exactly one goroutine and carries no synchronization; merge it into
+// the Registry once the worker's flush has landed.
 type Sample struct {
-	Tasks         Hist // task service time, ns
-	Steals        Hist // successful steal latency (scan start to block landed), ns
-	Flushes       Hist // commit/flush duration, ns
-	GetCalls      int64
-	GetBytes      int64
-	AccCalls      int64
-	AccBytes      int64
-	GetRetries    int64
-	AccRetries    int64
-	LeaseRenewals int64
-	StealFails    int64 // steal scans that came up dry
+	Tasks      Hist // task service time, ns
+	Steals     Hist // successful steal latency (scan start to block landed), ns
+	Flushes    Hist // commit/flush duration, ns
+	GetCalls   int64
+	GetBytes   int64
+	AccCalls   int64
+	AccBytes   int64
+	GetRetries int64
+	AccRetries int64
+	StealFails int64 // steal scans that came up dry
 
 	// ERI dispatch split (from integrals.Stats deltas per task): all-s/p
 	// and d-bearing quartets served by the generated kernels, and
@@ -170,15 +164,7 @@ type Sample struct {
 	QuartetsGeneral int64
 }
 
-// empty reports whether the sample holds no observations at all.
-func (s *Sample) empty() bool {
-	return s.Tasks.N == 0 && s.Steals.N == 0 && s.Flushes.N == 0 &&
-		s.GetCalls == 0 && s.AccCalls == 0 && s.GetRetries == 0 &&
-		s.AccRetries == 0 && s.LeaseRenewals == 0 && s.StealFails == 0 &&
-		s.QuartetsFastSP == 0 && s.QuartetsFastGen == 0 && s.QuartetsGeneral == 0
-}
-
-// Reset clears the sample for the next commit episode.
+// Reset clears the sample.
 func (s *Sample) Reset() { *s = Sample{} }
 
 // worker is the Registry's committed per-rank accumulation.
@@ -187,7 +173,6 @@ type worker struct {
 	getCalls, getBytes     atomic.Int64
 	accCalls, accBytes     atomic.Int64
 	getRetries, accRetries atomic.Int64
-	leaseRenewals          atomic.Int64
 	stealFails             atomic.Int64
 	merges                 atomic.Int64
 
@@ -201,9 +186,7 @@ type worker struct {
 // (the expvar endpoint does exactly that) and sees a consistent-enough
 // view for monitoring.
 type Registry struct {
-	workers   []worker
-	discarded atomic.Int64
-	dropped   atomic.Int64 // observations inside discarded samples
+	workers []worker
 }
 
 // NewRegistry creates a registry for n worker ranks.
@@ -233,7 +216,6 @@ func (r *Registry) Merge(rank int, s *Sample) {
 	w.accBytes.Add(s.AccBytes)
 	w.getRetries.Add(s.GetRetries)
 	w.accRetries.Add(s.AccRetries)
-	w.leaseRenewals.Add(s.LeaseRenewals)
 	w.stealFails.Add(s.StealFails)
 	w.quartetsFastSP.Add(s.QuartetsFastSP)
 	w.quartetsFastGen.Add(s.QuartetsFastGen)
@@ -241,32 +223,20 @@ func (r *Registry) Merge(rank int, s *Sample) {
 	w.merges.Add(1)
 }
 
-// Discard records that a sample was dropped uncommitted (fenced or
-// crashed incarnation); its observations are counted as dropped but
-// never merged.
-func (r *Registry) Discard(s *Sample) {
-	if r == nil || s.empty() {
-		return
-	}
-	r.discarded.Add(1)
-	r.dropped.Add(s.Tasks.N + s.Steals.N + s.Flushes.N)
-}
-
 // WorkerSnapshot is the JSON-facing per-rank view.
 type WorkerSnapshot struct {
-	Rank          int          `json:"rank"`
-	TaskNS        HistSnapshot `json:"task_ns"`
-	StealNS       HistSnapshot `json:"steal_ns"`
-	FlushNS       HistSnapshot `json:"flush_ns"`
-	GetCalls      int64        `json:"get_calls"`
-	GetBytes      int64        `json:"get_bytes"`
-	AccCalls      int64        `json:"acc_calls"`
-	AccBytes      int64        `json:"acc_bytes"`
-	GetRetries    int64        `json:"get_retries,omitempty"`
-	AccRetries    int64        `json:"acc_retries,omitempty"`
-	LeaseRenewals int64        `json:"lease_renewals,omitempty"`
-	StealFails    int64        `json:"steal_fails,omitempty"`
-	Commits       int64        `json:"commits"`
+	Rank       int          `json:"rank"`
+	TaskNS     HistSnapshot `json:"task_ns"`
+	StealNS    HistSnapshot `json:"steal_ns"`
+	FlushNS    HistSnapshot `json:"flush_ns"`
+	GetCalls   int64        `json:"get_calls"`
+	GetBytes   int64        `json:"get_bytes"`
+	AccCalls   int64        `json:"acc_calls"`
+	AccBytes   int64        `json:"acc_bytes"`
+	GetRetries int64        `json:"get_retries,omitempty"`
+	AccRetries int64        `json:"acc_retries,omitempty"`
+	StealFails int64        `json:"steal_fails,omitempty"`
+	Commits    int64        `json:"commits"`
 
 	QuartetsFastSP  int64 `json:"quartets_fast_sp,omitempty"`
 	QuartetsFastGen int64 `json:"quartets_fast_gen,omitempty"`
@@ -275,12 +245,10 @@ type WorkerSnapshot struct {
 
 // Snapshot is the JSON-facing registry view.
 type Snapshot struct {
-	Workers          []WorkerSnapshot `json:"workers"`
-	TasksTotal       int64            `json:"tasks_total"`
-	StealsTotal      int64            `json:"steals_total"`
-	BytesTotal       int64            `json:"bytes_total"`
-	DiscardedSamples int64            `json:"discarded_samples"`
-	DroppedObs       int64            `json:"dropped_observations"`
+	Workers     []WorkerSnapshot `json:"workers"`
+	TasksTotal  int64            `json:"tasks_total"`
+	StealsTotal int64            `json:"steals_total"`
+	BytesTotal  int64            `json:"bytes_total"`
 
 	// ERI dispatch totals across ranks; QuartetsGeneralFrac is the
 	// general-path fraction (0 when no quartets were recorded).
@@ -296,26 +264,23 @@ func (r *Registry) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	out := Snapshot{
-		Workers:          make([]WorkerSnapshot, len(r.workers)),
-		DiscardedSamples: r.discarded.Load(),
-		DroppedObs:       r.dropped.Load(),
+		Workers: make([]WorkerSnapshot, len(r.workers)),
 	}
 	for i := range r.workers {
 		w := &r.workers[i]
 		ws := WorkerSnapshot{
-			Rank:          i,
-			TaskNS:        w.tasks.snapshot(),
-			StealNS:       w.steals.snapshot(),
-			FlushNS:       w.flushes.snapshot(),
-			GetCalls:      w.getCalls.Load(),
-			GetBytes:      w.getBytes.Load(),
-			AccCalls:      w.accCalls.Load(),
-			AccBytes:      w.accBytes.Load(),
-			GetRetries:    w.getRetries.Load(),
-			AccRetries:    w.accRetries.Load(),
-			LeaseRenewals: w.leaseRenewals.Load(),
-			StealFails:    w.stealFails.Load(),
-			Commits:       w.merges.Load(),
+			Rank:       i,
+			TaskNS:     w.tasks.snapshot(),
+			StealNS:    w.steals.snapshot(),
+			FlushNS:    w.flushes.snapshot(),
+			GetCalls:   w.getCalls.Load(),
+			GetBytes:   w.getBytes.Load(),
+			AccCalls:   w.accCalls.Load(),
+			AccBytes:   w.accBytes.Load(),
+			GetRetries: w.getRetries.Load(),
+			AccRetries: w.accRetries.Load(),
+			StealFails: w.stealFails.Load(),
+			Commits:    w.merges.Load(),
 
 			QuartetsFastSP:  w.quartetsFastSP.Load(),
 			QuartetsFastGen: w.quartetsFastGen.Load(),
@@ -489,12 +454,10 @@ func (c *RPC) MarshalJSON() ([]byte, error) {
 }
 
 // Cache is the counter set of the stored-ERI tier (integrals.ERIStore).
-// Like RPC it is recorded with direct atomics rather than commit-time
-// merging: a replay/recompute decision happened whether or not the task
-// it served ever commits, and double counts from fenced re-executions
-// are accounting noise, not a correctness hazard (the store itself stays
-// exactly-once via first-writer-wins commits). All methods are
-// nil-receiver safe.
+// Like RPC it is recorded with direct atomics rather than merged at the
+// flush: a replay/recompute decision happened whether or not the build
+// it served succeeds (the store itself stays exactly-once via
+// first-writer-wins commits). All methods are nil-receiver safe.
 type Cache struct {
 	taskHits, taskMisses             atomic.Int64
 	quartetsStored, quartetsReplayed atomic.Int64

@@ -50,7 +50,10 @@ func TestHistEmptySnapshotIsDefined(t *testing.T) {
 	}
 }
 
-func TestRegistryMergeAndDiscard(t *testing.T) {
+// empty reports whether the sample holds no observations at all.
+func (s *Sample) empty() bool { return *s == Sample{} }
+
+func TestRegistryMerge(t *testing.T) {
 	r := NewRegistry(2)
 	var s Sample
 	s.Tasks.Observe(100)
@@ -59,16 +62,11 @@ func TestRegistryMergeAndDiscard(t *testing.T) {
 	s.GetCalls, s.GetBytes = 3, 4096
 	s.AccCalls, s.AccBytes = 2, 2048
 	s.GetRetries, s.AccRetries = 1, 2
-	s.LeaseRenewals = 7
 	r.Merge(0, &s)
-
-	var dropped Sample
-	dropped.Tasks.Observe(999) // fenced incarnation's work
-	r.Discard(&dropped)
 
 	snap := r.Snapshot()
 	if snap.TasksTotal != 2 {
-		t.Fatalf("TasksTotal = %d, want 2 (discarded sample leaked in?)", snap.TasksTotal)
+		t.Fatalf("TasksTotal = %d, want 2", snap.TasksTotal)
 	}
 	if snap.StealsTotal != 1 {
 		t.Fatalf("StealsTotal = %d, want 1", snap.StealsTotal)
@@ -76,23 +74,12 @@ func TestRegistryMergeAndDiscard(t *testing.T) {
 	if snap.BytesTotal != 4096+2048 {
 		t.Fatalf("BytesTotal = %d", snap.BytesTotal)
 	}
-	if snap.DiscardedSamples != 1 || snap.DroppedObs != 1 {
-		t.Fatalf("discard accounting = %d samples, %d obs; want 1, 1",
-			snap.DiscardedSamples, snap.DroppedObs)
-	}
 	w := snap.Workers[0]
-	if w.TaskNS.Sum != 300 || w.GetRetries != 1 || w.AccRetries != 2 ||
-		w.LeaseRenewals != 7 || w.Commits != 1 {
+	if w.TaskNS.Sum != 300 || w.GetRetries != 1 || w.AccRetries != 2 || w.Commits != 1 {
 		t.Fatalf("worker 0 snapshot wrong: %+v", w)
 	}
 	if snap.Workers[1].Commits != 0 {
 		t.Fatal("worker 1 should be untouched")
-	}
-
-	// An empty sample discard is a no-op.
-	r.Discard(&Sample{})
-	if got := r.Snapshot().DiscardedSamples; got != 1 {
-		t.Fatalf("empty-sample discard counted: %d", got)
 	}
 }
 
@@ -125,7 +112,6 @@ func TestRegistryNilIsSafe(t *testing.T) {
 	var s Sample
 	s.Tasks.Observe(1)
 	r.Merge(0, &s) // must not panic
-	r.Discard(&s)
 	if r.P() != 0 {
 		t.Fatal("nil registry P != 0")
 	}

@@ -68,16 +68,14 @@ type Config struct {
 
 // Client is the TCP implementation of dist.Backend: every one-sided op
 // becomes framed RPCs to the shard server hosting the touched block, with
-// per-op deadlines, capped jittered retry, idempotency tokens on
-// accumulates, and automatic reconnection. Epoch fencing is enforced
-// here, client-side, where the lease ledger lives.
+// per-op deadlines, bounded capped jittered retry (retryAttempts),
+// idempotency tokens on accumulates, and automatic reconnection.
 type Client struct {
 	grid   *dist.Grid2D
 	stats  *dist.RunStats
 	assign []int
 	pools  []*connPool
 	cfg    Config
-	fence  dist.Fence
 	reqID  atomic.Uint64
 	token  atomic.Uint64
 	lost   atomic.Bool // a server answered "unknown session"
@@ -120,7 +118,7 @@ func Dial(grid *dist.Grid2D, stats *dist.RunStats, addrs []string, assign []int,
 			R0: int32(grid.Rows), C0: int32(grid.Cols),
 			Msg: layoutMsg(grid),
 		}
-		resp, _, err := c.doRPC(-1, pool, &hello)
+		resp, err := c.doRPC(-1, pool, &hello)
 		if err == nil && resp.Status != statusOK {
 			err = fmt.Errorf("netga: hello rejected by %s: %s", pool.addr, resp.Msg)
 		}
@@ -156,16 +154,6 @@ func (c *Client) rejected(what string, resp *response) error {
 
 // Layout returns the grid the shard servers are laid out over.
 func (c *Client) Layout() *dist.Grid2D { return c.grid }
-
-// Fallible reports true: network transport can always fail, so builds
-// over this backend must use the retrying wrappers.
-func (c *Client) Fallible() bool { return true }
-
-// SetFence installs the epoch authority consulted by AccFencedRetry.
-// The check runs client-side: the ledger lives in this (driver) process,
-// and the commit protocol in core guarantees a fence cannot interleave
-// with an open commit, so servers stay fence-oblivious.
-func (c *Client) SetFence(f dist.Fence) { c.fence = f }
 
 // charge mirrors dist.GlobalArray's per-call accounting so net-backed
 // runs report the paper's Tables VI/VII quantities identically.
@@ -250,17 +238,16 @@ func (p *connPool) closeAll() {
 
 // doRPC performs one request/response exchange on a pooled conn, with
 // the per-op socket deadline and (for worker ranks) the injected network
-// fault verdict. sent reports whether any bytes of the request may have
-// reached the wire: a failure with sent=false is provably clean (the
-// server cannot have applied anything), while sent=true is ambiguous and
-// the caller must retry the same idempotency token to resolution.
-func (c *Client) doRPC(rank int, pool *connPool, req *request) (resp *response, sent bool, err error) {
+// fault verdict. A failure after the frame was written is ambiguous —
+// the server may have applied the request — which is why a retry reuses
+// the request's idempotency token.
+func (c *Client) doRPC(rank int, pool *connPool, req *request) (*response, error) {
 	sendTwice := false
 	if c.cfg.Fault != nil && rank >= 0 {
 		delay, outcome := c.cfg.Fault.NetFault(rank)
 		if outcome == fault.NetPartitioned {
 			c.cfg.RPC.AddPartitioned()
-			return nil, false, ErrPartitioned
+			return nil, ErrPartitioned
 		}
 		if delay > 0 {
 			time.Sleep(delay) // slow link
@@ -276,39 +263,38 @@ func (c *Client) doRPC(rank int, pool *connPool, req *request) (resp *response, 
 			// the request — the ambiguity idempotency tokens exist for.
 			conn, derr := pool.get()
 			if derr != nil {
-				return nil, false, derr
+				return nil, derr
 			}
 			conn.SetDeadline(time.Now().Add(c.cfg.OpTimeout))
 			body := encodeRequest(nil, req)
 			werr := writeFrame(conn, body)
 			pool.discard(conn)
 			if werr != nil {
-				return nil, false, werr
+				return nil, werr
 			}
-			return nil, true, errInjectedReset
+			return nil, errInjectedReset
 		}
 	}
 	conn, derr := pool.get()
 	if derr != nil {
-		return nil, false, derr
+		return nil, derr
 	}
 	conn.SetDeadline(time.Now().Add(c.cfg.OpTimeout))
 	bw := bufio.NewWriter(conn)
 	body := encodeRequest(nil, req)
-	sent = true
 	if err := writeFrame(bw, body); err != nil {
 		pool.discard(conn)
-		return nil, true, err
+		return nil, err
 	}
 	if sendTwice {
 		if err := writeFrame(bw, body); err != nil {
 			pool.discard(conn)
-			return nil, true, err
+			return nil, err
 		}
 	}
 	if err := bw.Flush(); err != nil {
 		pool.discard(conn)
-		return nil, true, err
+		return nil, err
 	}
 	br := bufio.NewReader(conn)
 	reads := 1
@@ -320,16 +306,16 @@ func (c *Client) doRPC(rank int, pool *connPool, req *request) (resp *response, 
 		frame, rerr := readFrame(br)
 		if rerr != nil {
 			pool.discard(conn)
-			return nil, true, rerr
+			return nil, rerr
 		}
 		var r response
 		if derr := decodeResponse(frame, &r); derr != nil {
 			pool.discard(conn)
-			return nil, true, derr
+			return nil, derr
 		}
 		if r.ReqID != req.ReqID {
 			pool.discard(conn)
-			return nil, true, fmt.Errorf("netga: response for req %d, want %d", r.ReqID, req.ReqID)
+			return nil, fmt.Errorf("netga: response for req %d, want %d", r.ReqID, req.ReqID)
 		}
 		if i == 0 {
 			out = r
@@ -337,8 +323,19 @@ func (c *Client) doRPC(rank int, pool *connPool, req *request) (resp *response, 
 	}
 	conn.SetDeadline(time.Time{})
 	pool.put(conn)
-	return &out, true, nil
+	return &out, nil
 }
+
+// The client's retry policy, shared by worker and driver ops: a
+// transport error is retried up to retryAttempts tries, the backoff
+// doubling from retryBackoff up to the shared 1s cap (about 2.3s in
+// all, enough to outlast a brief partition or a shard restart). An op
+// that fails past it fails, and with it the build; the caller retries
+// the build under a fresh session.
+const (
+	retryAttempts = 10
+	retryBackoff  = 5 * time.Millisecond
+)
 
 // growWait doubles a backoff up to the shared 1s cap (dist.SleepBackoff
 // caps and jitters the actual sleep; this just shapes the progression).
@@ -349,14 +346,60 @@ func growWait(wait time.Duration) time.Duration {
 	return wait
 }
 
+// call sends req to pool, retrying transport errors up to attempts tries
+// with capped jittered backoff starting at backoff; ctx (nil = none)
+// abandons the loop early. A server rejection is final: retrying a
+// deterministic answer cannot help. It returns the response, the number
+// of retries issued and the error that ended the call. Every try reuses
+// req's idempotency token, so a retried accumulate lands at most once.
+func (c *Client) call(ctx context.Context, attempts int, backoff time.Duration, rank int, pool *connPool, req *request, what string) (*response, int, error) {
+	var err error
+	wait := backoff
+	for a := 0; a < attempts; a++ {
+		if a > 0 {
+			c.cfg.RPC.AddRetry()
+			if cerr := dist.SleepBackoff(ctx, wait); cerr != nil {
+				return nil, a, cerr
+			}
+			wait = growWait(wait)
+		}
+		req.ReqID = c.reqID.Add(1)
+		var resp *response
+		resp, err = c.doRPC(rank, pool, req)
+		if err != nil {
+			classifyFailure(c.cfg.RPC, err)
+			continue
+		}
+		if resp.Status != statusOK {
+			return nil, a, c.rejected(what, resp)
+		}
+		return resp, a, nil
+	}
+	return nil, attempts - 1, err
+}
+
+// workerCall is call for one worker op, with its latency and failure
+// recorded in the transport counters.
+func (c *Client) workerCall(ctx context.Context, attempts int, backoff time.Duration, proc int, p dist.Patch, req *request, what string) (*response, int, error) {
+	start := time.Now()
+	resp, retries, err := c.call(ctx, attempts, backoff, proc, c.pools[c.assign[p.Proc]], req, what)
+	if err != nil {
+		c.cfg.RPC.AddFailure()
+	}
+	c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
+	return resp, retries, err
+}
+
 // GetRetry implements dist.Backend: the region is decomposed into
-// per-owner patches, each fetched as one RPC retried up to attempts
-// times with capped jittered backoff, abandoned early when ctx expires.
-// Gets never mutate server state, so abandonment is always clean.
+// per-owner patches, each fetched as one RPC under the retry budget
+// (attempts and backoff override it when positive).
 func (c *Client) GetRetry(ctx context.Context, attempts int, backoff time.Duration, proc, r0, r1, c0, c1 int, dst []float64, ld int) (int, error) {
 	c.charge(proc, r0, r1, c0, c1)
 	if attempts <= 0 {
-		attempts = 1
+		attempts = retryAttempts
+	}
+	if backoff <= 0 {
+		backoff = retryBackoff
 	}
 	retries := 0
 	for _, p := range c.grid.Patches(r0, r1, c0, c1) {
@@ -364,70 +407,36 @@ func (c *Client) GetRetry(ctx context.Context, attempts int, backoff time.Durati
 			Op: opGet, Array: c.cfg.Array, Session: c.cfg.Session,
 			Proc: int32(proc), R0: int32(p.R0), R1: int32(p.R1), C0: int32(p.C0), C1: int32(p.C1),
 		}
-		start := time.Now()
-		wait := backoff
-		var err error
-		for a := 0; a < attempts; a++ {
-			if a > 0 {
-				retries++
-				c.countRetry()
-				if cerr := dist.SleepBackoff(ctx, wait); cerr != nil {
-					c.cfg.RPC.AddFailure()
-					c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-					return retries, cerr
-				}
-				wait = growWait(wait)
-			}
-			req.ReqID = c.reqID.Add(1)
-			var resp *response
-			resp, _, err = c.doRPC(proc, c.pools[c.assign[p.Proc]], &req)
-			if err != nil {
-				classifyFailure(c.cfg.RPC, err)
-			}
-			if err == nil && resp.Status != statusOK {
-				// A server rejection is deterministic; retrying cannot help.
-				c.cfg.RPC.AddFailure()
-				c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-				return retries, c.rejected("get", resp)
-			}
-			if err == nil {
-				w := p.C1 - p.C0
-				if len(resp.Data) != (p.R1-p.R0)*w {
-					c.cfg.RPC.AddFailure()
-					return retries, fmt.Errorf("netga: get returned %d values, want %d", len(resp.Data), (p.R1-p.R0)*w)
-				}
-				for r := p.R0; r < p.R1; r++ {
-					copy(dst[(r-r0)*ld+(p.C0-c0):(r-r0)*ld+(p.C1-c0)], resp.Data[(r-p.R0)*w:(r-p.R0)*w+w])
-				}
-				c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-				break
-			}
-		}
+		resp, n, err := c.workerCall(ctx, attempts, backoff, proc, p, &req, "get")
+		retries += n
 		if err != nil {
-			c.cfg.RPC.AddFailure()
-			c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
 			return retries, err
+		}
+		w := p.C1 - p.C0
+		if len(resp.Data) != (p.R1-p.R0)*w {
+			c.cfg.RPC.AddFailure()
+			return retries, fmt.Errorf("netga: get returned %d values, want %d", len(resp.Data), (p.R1-p.R0)*w)
+		}
+		for r := p.R0; r < p.R1; r++ {
+			copy(dst[(r-r0)*ld+(p.C0-c0):(r-r0)*ld+(p.C1-c0)], resp.Data[(r-p.R0)*w:(r-p.R0)*w+w])
 		}
 	}
 	return retries, nil
 }
 
-// AccFencedRetry implements dist.Backend with exactly-once semantics
-// over an at-least-once transport: each per-owner patch gets one
-// idempotency token, reused across every retry, so the server applies it
-// once no matter how delivery fails or duplicates.
-//
-// ctx and the fence are honored only while the call is provably clean —
-// no frame of it has reached the wire. The first (possibly) sent frame
-// is the point of no return: from there the only exits are landing every
-// remaining patch (retrying on an unbounded context; the injector's
-// consecutive-fault caps and partition windows bound this in practice)
-// or a deterministic server rejection, so a ctx error reported to the
-// caller always means "nothing applied" and core may abort cleanly.
+// AccFencedRetry implements dist.Backend: each per-owner patch is one
+// RPC with its own idempotency token, reused across every retry, so the
+// server applies it at most once however delivery fails or duplicates.
+// Retries follow the retry budget (backoff overrides its start when
+// positive); epoch is unused. An error may leave earlier patches — or,
+// after an ambiguous failure, this one — applied: the session's F is
+// then unusable, and the caller abandons the session.
 func (c *Client) AccFencedRetry(ctx context.Context, backoff time.Duration, proc int, epoch int64, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) (int, error) {
 	c.charge(proc, r0, r1, c0, c1)
+	if backoff <= 0 {
+		backoff = retryBackoff
+	}
 	retries := 0
-	committed := false
 	for _, p := range c.grid.Patches(r0, r1, c0, c1) {
 		w := p.C1 - p.C0
 		data := make([]float64, (p.R1-p.R0)*w)
@@ -437,106 +446,41 @@ func (c *Client) AccFencedRetry(ctx context.Context, backoff time.Duration, proc
 		req := request{
 			Op: opAcc, Array: c.cfg.Array, Session: c.cfg.Session,
 			Token: uint64(c.cfg.Array+1)<<56 | c.token.Add(1),
-			Epoch: epoch, Proc: int32(proc), Alpha: alpha,
+			Proc:  int32(proc), Alpha: alpha,
 			R0: int32(p.R0), R1: int32(p.R1), C0: int32(p.C0), C1: int32(p.C1),
 			Data: data,
 		}
-		start := time.Now()
-		wait := backoff
-		for {
-			if !committed && c.fence != nil && !c.fence.ValidEpoch(proc, epoch) {
-				return retries, dist.ErrFenced
-			}
-			req.ReqID = c.reqID.Add(1)
-			resp, sent, err := c.doRPC(proc, c.pools[c.assign[p.Proc]], &req)
-			if sent {
-				committed = true
-			}
-			if err != nil {
-				classifyFailure(c.cfg.RPC, err)
-			}
-			if err == nil && resp.Status != statusOK {
-				c.cfg.RPC.AddFailure()
-				c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-				return retries, c.rejected("acc", resp)
-			}
-			if err == nil {
-				c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-				break
-			}
-			retries++
-			c.countRetry()
-			sctx := ctx
-			if committed {
-				sctx = nil // past the point of no return: retry unbounded
-			}
-			if cerr := dist.SleepBackoff(sctx, wait); cerr != nil {
-				c.cfg.RPC.AddFailure()
-				c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-				return retries, cerr
-			}
-			wait = growWait(wait)
+		_, n, err := c.workerCall(ctx, retryAttempts, backoff, proc, p, &req, "acc")
+		retries += n
+		if err != nil {
+			return retries, err
 		}
 	}
 	return retries, nil
 }
 
-func (c *Client) countRetry() {
-	c.cfg.RPC.AddRetry()
-	if c.stats != nil {
-		atomic.AddInt64(&c.stats.Recovery.OpRetries, 1)
-	}
-}
-
-// Get implements the infallible Backend read. The netga backend is
-// always fallible, so core never calls this; it exists for tests and
-// panics if the transport cannot deliver.
+// Get implements the infallible Backend read: core.Build uses GetRetry
+// on this backend, so Get serves tests, and panics if the transport
+// cannot deliver.
 func (c *Client) Get(proc, r0, r1, c0, c1 int, dst []float64, ld int) {
-	if _, err := c.GetRetry(context.Background(), 8, 5*time.Millisecond, proc, r0, r1, c0, c1, dst, ld); err != nil {
+	if _, err := c.GetRetry(context.Background(), 0, 0, proc, r0, r1, c0, c1, dst, ld); err != nil {
 		panic(fmt.Sprintf("netga: infallible Get failed: %v", err))
 	}
 }
 
 // Acc implements the infallible Backend accumulate; see Get.
 func (c *Client) Acc(proc, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) {
-	fence := c.fence
-	c.fence = nil
-	defer func() { c.fence = fence }()
-	if _, err := c.AccFencedRetry(context.Background(), 5*time.Millisecond, proc, 0, r0, r1, c0, c1, src, ld, alpha); err != nil {
+	if _, err := c.AccFencedRetry(context.Background(), 0, proc, 0, r0, r1, c0, c1, src, ld, alpha); err != nil {
 		panic(fmt.Sprintf("netga: infallible Acc failed: %v", err))
 	}
 }
 
-// driverAttempts bounds the driver-side ops' retries of transport
-// errors; the backoff doubles from 5ms up to the shared 1s cap.
-const driverAttempts = 10
-
 // driverOp runs one un-faulted, un-accounted RPC for the driver-side
-// ops (whole-matrix load/gather, checkpoint, bye, blobs), retrying
-// transport errors.
+// ops (whole-matrix load/gather, checkpoint, bye, blobs) under the retry
+// budget.
 func (c *Client) driverOp(pool *connPool, req *request) (*response, error) {
-	var err error
-	wait := 5 * time.Millisecond
-	for a := 0; a < driverAttempts; a++ {
-		if a > 0 {
-			if cerr := dist.SleepBackoff(context.Background(), wait); cerr != nil {
-				return nil, cerr
-			}
-			wait = growWait(wait)
-		}
-		req.ReqID = c.reqID.Add(1)
-		var resp *response
-		resp, _, err = c.doRPC(-1, pool, req)
-		if err != nil {
-			classifyFailure(c.cfg.RPC, err)
-			continue
-		}
-		if resp.Status != statusOK {
-			return nil, c.rejected("driver op", resp)
-		}
-		return resp, nil
-	}
-	return nil, err
+	resp, _, err := c.call(context.Background(), retryAttempts, retryBackoff, -1, pool, req, "driver op")
+	return resp, err
 }
 
 // driverOpProc is driverOp against the server hosting proc's block.

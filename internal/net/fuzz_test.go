@@ -16,7 +16,7 @@ func fuzzRequests() []request {
 		{Op: opHello, Session: 1, ReqID: 1, R0: 6, C0: 6, Msg: layoutMsg(g)},
 		{Op: opGet, Session: 1, ReqID: 2, Proc: 0, R0: 0, R1: 3, C0: 0, C1: 3},
 		{Op: opPut, Session: 1, ReqID: 3, Proc: -1, R0: 0, R1: 1, C0: 0, C1: 2, Data: []float64{1, 2}},
-		{Op: opAcc, Array: 1, Session: 1, ReqID: 4, Token: 9, Epoch: 2, R0: 3, R1: 4, C0: 3, C1: 4, Alpha: 0.5, Data: []float64{math.Pi}},
+		{Op: opAcc, Array: 1, Session: 1, ReqID: 4, Token: 9, R0: 3, R1: 4, C0: 3, C1: 4, Alpha: 0.5, Data: []float64{math.Pi}},
 		{Op: opCheckpoint, Session: 1, ReqID: 5},
 		{Op: opPutBlob, Session: 1, ReqID: 6, Token: 77, Data: []float64{-1, 0}},
 		{Op: opGetBlob, Session: 1, ReqID: 7, Token: 77},

@@ -18,7 +18,7 @@ import (
 
 func TestProtoRoundTrip(t *testing.T) {
 	req := request{
-		Op: opAcc, Array: 1, Session: 7, ReqID: 42, Token: 99, Epoch: 3,
+		Op: opAcc, Array: 1, Session: 7, ReqID: 42, Token: 99,
 		Proc: 2, R0: 1, R1: 4, C0: 0, C1: 2, Alpha: -0.5,
 		Msg:  `{"prow":1}`,
 		Data: []float64{1.5, -2, 3.25, 0, 5, math.Pi},
@@ -131,7 +131,7 @@ func TestAccTokenDedup(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ { // initial delivery + two "retries"
 		req.ReqID = c.reqID.Add(1)
-		resp, _, err := c.doRPC(0, c.pools[0], &req)
+		resp, err := c.doRPC(0, c.pools[0], &req)
 		if err != nil || resp.Status != statusOK {
 			t.Fatalf("acc delivery %d: %v / %+v", i, err, resp)
 		}
@@ -353,7 +353,7 @@ func rawAcc(t *testing.T, c *Client, token uint64, val float64) *response {
 		Alpha: 1, R0: 0, R1: 1, C0: 0, C1: 1, Data: []float64{val},
 	}
 	req.ReqID = c.reqID.Add(1)
-	resp, _, err := c.doRPC(-1, c.pools[0], &req)
+	resp, err := c.doRPC(-1, c.pools[0], &req)
 	if err != nil {
 		t.Fatalf("raw acc: %v", err)
 	}

@@ -1,13 +1,13 @@
 // Package netga is the TCP network transport behind dist.Backend: the D
 // and F global arrays live as shards in fockd server processes, and every
 // one-sided Get/Put/Acc is a length-prefixed framed RPC with per-op
-// deadlines, capped jittered retry, idempotency tokens (a retried or
-// duplicated Acc is applied exactly once server-side), and automatic
-// reconnection. core.Build and its lease/epoch recovery machinery run
-// unchanged over this transport; a rank that loses a peer past its retry
-// budget aborts, gets fenced, and its work is re-executed elsewhere
-// (graceful degradation — see DESIGN.md, "Network transport and
-// degradation ladder").
+// deadlines, bounded capped jittered retry, idempotency tokens (a
+// retried or duplicated Acc is applied exactly once server-side), and
+// automatic reconnection. core.Build runs unchanged over this
+// transport; an op that fails past the retry budget, or that a server
+// rejects, fails the build, and its caller retries the build under a
+// fresh session (see DESIGN.md, "Network transport and degradation
+// ladder").
 package netga
 
 import (
@@ -64,8 +64,7 @@ type request struct {
 	Session        uint64
 	ReqID          uint64
 	Token          uint64 // Acc idempotency token (0 = no dedup); blob key
-	Epoch          int64
-	Proc           int32 // issuing rank; -1 for driver-side ops
+	Proc           int32  // issuing rank; -1 for driver-side ops
 	R0, R1, C0, C1 int32
 	Alpha          float64
 	Msg            string    // Hello grid layout (JSON)
@@ -82,9 +81,9 @@ type response struct {
 }
 
 // reqHeaderLen is the fixed-size prefix of an encoded request:
-// op+array (2) + session+reqid+token (24) + epoch (8) + proc+4 coords
-// (20) + alpha (8) + msg len (2) + data count (4).
-const reqHeaderLen = 2 + 24 + 8 + 20 + 8 + 2 + 4
+// op+array (2) + session+reqid+token (24) + proc+4 coords (20) + alpha
+// (8) + msg len (2) + data count (4).
+const reqHeaderLen = 2 + 24 + 20 + 8 + 2 + 4
 
 func encodeRequest(buf []byte, r *request) []byte {
 	buf = buf[:0]
@@ -92,7 +91,6 @@ func encodeRequest(buf []byte, r *request) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, r.Session)
 	buf = binary.LittleEndian.AppendUint64(buf, r.ReqID)
 	buf = binary.LittleEndian.AppendUint64(buf, r.Token)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Epoch))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Proc))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.R0))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.R1))
@@ -113,15 +111,14 @@ func decodeRequest(body []byte, r *request) error {
 	r.Session = binary.LittleEndian.Uint64(body[2:])
 	r.ReqID = binary.LittleEndian.Uint64(body[10:])
 	r.Token = binary.LittleEndian.Uint64(body[18:])
-	r.Epoch = int64(binary.LittleEndian.Uint64(body[26:]))
-	r.Proc = int32(binary.LittleEndian.Uint32(body[34:]))
-	r.R0 = int32(binary.LittleEndian.Uint32(body[38:]))
-	r.R1 = int32(binary.LittleEndian.Uint32(body[42:]))
-	r.C0 = int32(binary.LittleEndian.Uint32(body[46:]))
-	r.C1 = int32(binary.LittleEndian.Uint32(body[50:]))
-	r.Alpha = math.Float64frombits(binary.LittleEndian.Uint64(body[54:]))
-	ml := int(binary.LittleEndian.Uint16(body[62:]))
-	n := int(binary.LittleEndian.Uint32(body[64:]))
+	r.Proc = int32(binary.LittleEndian.Uint32(body[26:]))
+	r.R0 = int32(binary.LittleEndian.Uint32(body[30:]))
+	r.R1 = int32(binary.LittleEndian.Uint32(body[34:]))
+	r.C0 = int32(binary.LittleEndian.Uint32(body[38:]))
+	r.C1 = int32(binary.LittleEndian.Uint32(body[42:]))
+	r.Alpha = math.Float64frombits(binary.LittleEndian.Uint64(body[46:]))
+	ml := int(binary.LittleEndian.Uint16(body[54:]))
+	n := int(binary.LittleEndian.Uint32(body[56:]))
 	if len(body) != reqHeaderLen+ml+8*n {
 		return fmt.Errorf("netga: request frame length %d does not match msg %d + %d data values", len(body), ml, n)
 	}

@@ -101,10 +101,9 @@ type MultiServerStats struct {
 // MultiServer is the shard server: it hosts the D and F blocks of its
 // share of the process grid for many concurrent sessions, each with its
 // own grid geometry and arrays, and serves framed one-sided RPCs over
-// TCP. Worker-epoch fencing is enforced client-side, in the driver
-// process where the lease ledger lives; the server's job is idempotent
-// application (token dedup), so at-least-once delivery from retrying
-// clients becomes exactly-once accumulation. One fockbuild run is one
+// TCP. Its job is idempotent application (token dedup), so
+// at-least-once delivery from retrying clients becomes exactly-once
+// accumulation within a session. One fockbuild run is one
 // session; the HF service multiplexes thousands of small SCF jobs onto
 // one fleet, one session per job attempt.
 //
@@ -130,6 +129,14 @@ type MultiServer struct {
 	requests, rejects, accApplied, accDups         atomic.Int64
 	sessionsOpened, sessionsClosed, sessionRejects atomic.Int64
 }
+
+// DefaultMemBudgetMB is fockd's resident memory budget per shard, in
+// MiB, unless -multi-mem-mb overrides it. Bounding it by default means a
+// single Hello cannot ask a shard for the full 2^20-per-side geometry:
+// it is refused with an error status before anything is allocated. At
+// 16 bytes per matrix element (sessionBytes), 1 GiB admits one session
+// of up to 8192 basis functions, or many smaller ones.
+const DefaultMemBudgetMB = 1024
 
 // NewMultiServer creates shard index of nservers. maxSessions caps
 // concurrently resident sessions (0 = a generous default) and memBudget

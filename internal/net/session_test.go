@@ -198,6 +198,24 @@ func TestMultiServerAdmissionAndBye(t *testing.T) {
 	}
 }
 
+// fockd's default memory budget refuses a Hello for the largest grid the
+// wire admits (2^20 functions per side) with an error status and
+// allocates nothing, while an ordinary session still fits.
+func TestMultiServerDefaultBudgetRefusesHugeHello(t *testing.T) {
+	addrs, servers := startMultiFleet(t, 1, 0, DefaultMemBudgetMB<<20)
+	huge := dist.UniformGrid2D(1, 1, 1<<20, 1<<20)
+	if _, err := dialSessionErr(huge, addrs, 1, 0); err == nil || !strings.Contains(err.Error(), "memory budget") {
+		t.Fatalf("huge hello: %v, want a memory budget refusal", err)
+	}
+	st := servers[0].Stats()
+	if st.MemUsed != 0 || st.SessionsOpen != 0 || st.SessionRejects != 1 {
+		t.Fatalf("after the refusal: %d bytes used, %d sessions open, %d rejects; want 0, 0, 1",
+			st.MemUsed, st.SessionsOpen, st.SessionRejects)
+	}
+	c := dialSession(t, dist.UniformGrid2D(1, 1, 64, 64), addrs, 2, 0)
+	c.Close()
+}
+
 // A killed-and-restarted multi-session shard forgets its sessions:
 // in-flight data ops fail deterministically (never silently rebind to
 // empty arrays), which is what converts a shard crash into a clean

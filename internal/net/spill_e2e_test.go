@@ -58,10 +58,8 @@ func TestSpillE2EReplayMatchesSerial(t *testing.T) {
 	store := integrals.NewERIStore(bs.NumShells(), 4096, bc, session, nil)
 	opt := core.Options{
 		Prow: 2, Pcol: 2,
-		Backend:      factory,
-		ERIStore:     store,
-		LeaseTTL:     500 * time.Millisecond,
-		MonitorEvery: 20 * time.Millisecond,
+		Backend:  factory,
+		ERIStore: store,
 	}
 	for build := 1; build <= 2; build++ {
 		res := buildDeadline(t, 2*time.Minute, func() core.Result {

@@ -78,8 +78,14 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, err
 	}
 	defer f.Close()
+	return readCheckpoint(f, path)
+}
+
+// readCheckpoint decodes and validates the checkpoint bytes of r; path
+// names the source in errors.
+func readCheckpoint(r io.Reader, path string) (*Checkpoint, error) {
 	var ck Checkpoint
-	if err := gob.NewDecoder(f).Decode(&ck); err != nil {
+	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
 		return nil, fmt.Errorf("scf: corrupt checkpoint %s: %w", path, err)
 	}
 	if ck.Version != checkpointVersion {

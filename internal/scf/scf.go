@@ -163,8 +163,8 @@ type Options struct {
 	FockBackend func(grid *dist.Grid2D, stats *dist.RunStats) (gaD, gaF dist.Backend, cleanup func(), err error)
 
 	// TuneFock, when non-nil, adjusts the assembled core.Options of every
-	// GTFock build just before it runs (lease TTLs, retry budgets, fault
-	// injection) without scf needing a field per knob.
+	// GTFock build just before it runs (e.g. per-build trace and metric
+	// sinks) without scf needing a field per knob.
 	TuneFock func(*core.Options)
 
 	// OnIteration, when non-nil, is called after every completed SCF

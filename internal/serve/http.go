@@ -11,7 +11,7 @@ import (
 
 // API exposes a Server over HTTP (the hfd wire surface):
 //
-//	POST /v1/jobs             submit; 202 {"id"} | 503 reject | 400 bad spec
+//	POST /v1/jobs             submit; 202 {"id"} | 503 reject | 400 bad spec | 413 body over 64 KiB
 //	GET  /v1/jobs/{id}        status snapshot
 //	GET  /v1/jobs/{id}/events NDJSON progress stream until terminal
 //	POST /v1/jobs/{id}/cancel explicit cancellation
@@ -80,10 +80,31 @@ type errBody struct {
 	Cause string `json:"cause,omitempty"`
 }
 
+// maxBodyBytes bounds the request bodies the job API and the registry
+// API decode: a job spec or registry request is a few hundred bytes, so
+// a client streaming more is refused with 413 before it costs memory.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes one JSON request body of at most maxBodyBytes into
+// v. On failure it returns the status to answer with: 413 for an
+// oversized body, 400 for malformed JSON.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return 0, nil
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, err
+	default:
+		return http.StatusBadRequest, err
+	}
+}
+
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errBody{Error: "bad JSON: " + err.Error()})
+	if code, err := decodeBody(w, r, &spec); err != nil {
+		writeJSON(w, code, errBody{Error: "bad JSON: " + err.Error()})
 		return
 	}
 	submit := a.Server.Submit

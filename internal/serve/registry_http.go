@@ -112,8 +112,8 @@ func (a *RegistryAPI) Handler() http.Handler {
 
 func decodeReq(w http.ResponseWriter, r *http.Request) (*regReq, bool) {
 	var req regReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, regResp{Reason: "bad_json"})
+	if code, err := decodeBody(w, r, &req); err != nil {
+		writeJSON(w, code, regResp{Reason: "bad_json"})
 		return nil, false
 	}
 	return &req, true

@@ -64,8 +64,8 @@ type FleetRunner struct {
 	// Fault, when non-nil, injects conn-layer network faults into every
 	// job's clients (chaos mode).
 	Fault *fault.Injector
-	// TuneCore, when non-nil, adjusts each build's core.Options
-	// (lease TTLs, retry budgets) after the runner's own settings.
+	// TuneCore, when non-nil, adjusts each build's core.Options (trace
+	// and metric sinks, say) after the runner's own settings.
 	TuneCore func(*core.Options)
 	// OnCheckpoint, when non-nil, is called after each iteration's
 	// checkpoint is on disk (the HA tier pushes the job's checkpoint
